@@ -20,24 +20,52 @@ std::uint16_t internet_checksum(BytesView data) noexcept {
 }
 
 namespace {
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
+
+/// Slicing-by-8 tables (Intel's "slicing-by-8", zlib's braided CRC in its
+/// simplest form): table[0] is the bytewise table; table[k][b] is the CRC
+/// of byte b followed by k zero bytes, so eight table lookups advance the
+/// CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() noexcept {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFF] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
 }  // namespace
 
 std::uint32_t crc32(BytesView data) noexcept {
-  static const std::array<std::uint32_t, 256> kTable = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : data) {
-    c = kTable[(c ^ b) & 0xFF] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    // Byte-order independent: assemble the two little-endian words by hand
+    // (compilers fuse this into plain loads on little-endian targets).
+    const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
+                                  (static_cast<std::uint32_t>(p[1]) << 8) |
+                                  (static_cast<std::uint32_t>(p[2]) << 16) |
+                                  (static_cast<std::uint32_t>(p[3]) << 24));
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

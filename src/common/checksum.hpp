@@ -1,8 +1,8 @@
 // Checksums used by the packet layer.
 //
 // - Internet checksum (RFC 1071) for the simulated IPv4/TCP headers.
-// - CRC32 (IEEE 802.3 polynomial, table-driven) for frame integrity and as a
-//   stable content fingerprint in flow hashing.
+// - CRC32 (IEEE 802.3 polynomial, slicing-by-8 tables) for frame integrity
+//   and gzip trailers, and as a stable content fingerprint in flow hashing.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,9 @@
 #include "compress/inflate.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "common/checksum.hpp"
 
@@ -8,75 +11,32 @@ namespace dpisvc::compress {
 
 namespace {
 
-// --- bit input ---------------------------------------------------------------
+[[noreturn]] void fail(InflateFailure reason, const char* what) {
+  throw InflateError(reason, what);
+}
 
-/// LSB-first bit reader over a byte buffer (DEFLATE bit order).
-class BitReader {
- public:
-  explicit BitReader(BytesView data) : data_(data) {}
+// --- canonical Huffman codes ---------------------------------------------------
 
-  std::uint32_t bits(int count) {
-    while (bit_count_ < count) {
-      if (at_ >= data_.size()) {
-        throw InflateError("inflate: unexpected end of input");
-      }
-      hold_ |= static_cast<std::uint64_t>(data_[at_++]) << bit_count_;
-      bit_count_ += 8;
-    }
-    const auto value = static_cast<std::uint32_t>(hold_ & ((1u << count) - 1));
-    hold_ >>= count;
-    bit_count_ -= count;
-    return value;
-  }
+constexpr unsigned kMaxBits = 15;
+/// Width of the first-level lookup: codes up to this length decode in one
+/// table probe; longer ones take the canonical walk.
+constexpr unsigned kFastBits = 10;
+constexpr std::size_t kFastSize = std::size_t{1} << kFastBits;
+/// Largest alphabet: the fixed literal/length code (RFC 1951 §3.2.6).
+constexpr std::size_t kMaxSymbols = 288;
 
-  std::uint32_t bit() { return bits(1); }
-
-  /// Discards buffered bits up to the next byte boundary (stored blocks).
-  void align() {
-    const int drop = bit_count_ % 8;
-    hold_ >>= drop;
-    bit_count_ -= drop;
-  }
-
-  /// Reads raw bytes (must be byte-aligned).
-  void read_bytes(std::uint8_t* out, std::size_t count) {
-    while (bit_count_ >= 8 && count > 0) {
-      *out++ = static_cast<std::uint8_t>(hold_ & 0xFF);
-      hold_ >>= 8;
-      bit_count_ -= 8;
-      --count;
-    }
-    if (at_ + count > data_.size()) {
-      throw InflateError("inflate: unexpected end of stored data");
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = data_[at_ + i];
-    }
-    at_ += count;
-  }
-
-  std::size_t byte_position() const noexcept { return at_; }
-
- private:
-  BytesView data_;
-  std::size_t at_ = 0;
-  std::uint64_t hold_ = 0;
-  int bit_count_ = 0;
-};
-
-// --- canonical Huffman decoding -------------------------------------------------
-
-constexpr int kMaxBits = 15;
-
-/// Canonical Huffman decoder built from code lengths (RFC 1951 §3.2.2),
-/// using the per-length first-code/first-symbol tables.
+/// Canonical Huffman code built from code lengths (RFC 1951 §3.2.2). Holds
+/// the per-length counts and the symbols in canonical order (for the walk)
+/// plus the fast table, indexed by the next kFastBits input bits: each
+/// entry is `symbol << 4 | length`, or 0 when the code there is longer than
+/// kFastBits or invalid. Fixed-size, so building one never allocates.
 class Huffman {
  public:
   void build(const std::uint8_t* lengths, std::size_t count) {
     std::array<std::uint16_t, kMaxBits + 1> length_count{};
     for (std::size_t i = 0; i < count; ++i) {
       if (lengths[i] > kMaxBits) {
-        throw InflateError("inflate: code length exceeds 15");
+        fail(InflateFailure::kCorrupt, "inflate: code length exceeds 15");
       }
       ++length_count[lengths[i]];
     }
@@ -88,7 +48,7 @@ class Huffman {
       left <<= 1;
       left -= length_count[len];
       if (left < 0) {
-        throw InflateError("inflate: over-subscribed Huffman code");
+        fail(InflateFailure::kCorrupt, "inflate: over-subscribed Huffman code");
       }
     }
     std::array<std::uint16_t, kMaxBits + 2> next_offset{};
@@ -96,36 +56,97 @@ class Huffman {
       next_offset[len + 1] =
           static_cast<std::uint16_t>(next_offset[len] + length_count[len]);
     }
-    symbols_.assign(count, 0);
     for (std::size_t i = 0; i < count; ++i) {
       if (lengths[i] != 0) {
         symbols_[next_offset[lengths[i]]++] = static_cast<std::uint16_t>(i);
       }
     }
     counts_ = length_count;
+
+    // Fast table: walk the canonical codes of length <= kFastBits in order
+    // and replicate each (bit-reversed, since DEFLATE packs Huffman codes
+    // MSB-first into an LSB-first stream) over every index it prefixes.
+    fast_.fill(0);
+    std::uint32_t code = 0;
+    std::size_t index = 0;
+    for (unsigned len = 1; len <= kFastBits; ++len) {
+      for (std::uint32_t k = 0; k < counts_[len]; ++k, ++code, ++index) {
+        const auto entry = static_cast<std::uint16_t>(
+            (static_cast<unsigned>(symbols_[index]) << 4) | len);
+        for (std::size_t at = reverse_bits(code, len); at < kFastSize;
+             at += std::size_t{1} << len) {
+          fast_[at] = entry;
+        }
+      }
+      code <<= 1;
+    }
   }
 
-  int decode(BitReader& in) const {
+  std::uint16_t fast(std::uint64_t bits) const noexcept {
+    return fast_[static_cast<std::size_t>(bits & (kFastSize - 1))];
+  }
+
+  /// Canonical first-code walk over `bits` (the next kMaxBits input bits,
+  /// LSB first). Returns `symbol << 4 | length`, or 0 for an invalid code.
+  std::uint32_t walk(std::uint64_t bits) const noexcept {
     std::uint32_t code = 0;
     std::uint32_t first = 0;
     std::uint32_t index = 0;
-    for (std::size_t len = 1; len <= kMaxBits; ++len) {
-      code |= in.bit();
+    for (unsigned len = 1; len <= kMaxBits; ++len) {
+      code |= static_cast<std::uint32_t>(bits >> (len - 1)) & 1u;
       const std::uint32_t count = counts_[len];
       if (code < first + count) {
-        return symbols_[index + (code - first)];
+        return (static_cast<std::uint32_t>(symbols_[index + (code - first)])
+                << 4) |
+               len;
       }
       index += count;
       first = (first + count) << 1;
       code <<= 1;
     }
-    throw InflateError("inflate: invalid Huffman code");
+    return 0;
   }
 
  private:
+  static std::size_t reverse_bits(std::uint32_t code, unsigned len) noexcept {
+    std::size_t out = 0;
+    for (unsigned i = 0; i < len; ++i) {
+      out = (out << 1) | ((code >> i) & 1u);
+    }
+    return out;
+  }
+
   std::array<std::uint16_t, kMaxBits + 1> counts_{};
-  std::vector<std::uint16_t> symbols_;
+  std::array<std::uint16_t, kMaxSymbols> symbols_{};
+  std::array<std::uint16_t, kFastSize> fast_{};
 };
+
+/// The fixed codes of RFC 1951 §3.2.6, built once per process.
+struct FixedCodes {
+  Huffman literals;
+  Huffman distances;
+
+  FixedCodes() {
+    std::array<std::uint8_t, kMaxSymbols> lit_lengths{};
+    auto fill = [&](std::size_t from, std::size_t to, std::uint8_t length) {
+      std::fill(lit_lengths.begin() + static_cast<std::ptrdiff_t>(from),
+                lit_lengths.begin() + static_cast<std::ptrdiff_t>(to), length);
+    };
+    fill(0, 144, 8);
+    fill(144, 256, 9);
+    fill(256, 280, 7);
+    fill(280, kMaxSymbols, 8);
+    literals.build(lit_lengths.data(), lit_lengths.size());
+    std::array<std::uint8_t, 30> dist_lengths{};
+    dist_lengths.fill(std::uint8_t{5});
+    distances.build(dist_lengths.data(), dist_lengths.size());
+  }
+};
+
+const FixedCodes& fixed_codes() {
+  static const FixedCodes codes;
+  return codes;
+}
 
 // --- LZ77 length / distance tables (RFC 1951 §3.2.5) ---------------------------
 
@@ -143,171 +164,295 @@ constexpr std::uint8_t kDistExtra[30] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
                                          4, 4, 5,  5,  6,  6,  7,  7,  8,  8,
                                          9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
+std::uint64_t load_le64(const std::uint8_t* at) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, at, sizeof word);
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+/// One DEFLATE stream decode. All state lives here — the bit buffer, the
+/// input position and the output — so a resumable decoder can grow out of
+/// this class rather than beside it.
+///
+/// Bit buffer: `hold_` keeps `bits_` unread input bits, LSB first. refill()
+/// tops it up to at least 56 bits: one unaligned 8-byte load while 8 input
+/// bytes remain, else byte by byte, padding with zero bytes past the end of
+/// the input. `pad_bits_` counts that padding; the stream has read past its
+/// end exactly when fewer than `pad_bits_` bits remain unread, and every
+/// consume checks that, so a truncated stream fails as truncated at the
+/// same point the bit-at-a-time decoder would.
 class Inflater {
  public:
   Inflater(BytesView input, const InflateLimits& limits)
-      : in_(input), limits_(limits) {}
+      : in_(input.data()), in_size_(input.size()),
+        max_output_(limits.max_output) {}
 
   Bytes run() {
+    // Start from a guess sized to typical DEFLATE expansion; reserve()
+    // doubles it from there, never beyond max_output.
+    out_.resize(
+        std::min(max_output_, std::max<std::size_t>(4 * in_size_, 256)));
+    op_ = out_.data();
+    oend_ = op_ + out_.size();
+
     bool final_block = false;
     while (!final_block) {
-      final_block = in_.bit() != 0;
-      const std::uint32_t type = in_.bits(2);
-      switch (type) {
+      final_block = take(1) != 0;
+      switch (take(2)) {
         case 0:
           stored_block();
           break;
         case 1:
-          fixed_block();
+          compressed_block(fixed_codes().literals, fixed_codes().distances);
           break;
         case 2:
           dynamic_block();
           break;
         default:
-          throw InflateError("inflate: reserved block type 3");
+          fail(InflateFailure::kCorrupt, "inflate: reserved block type 3");
       }
     }
+    out_.resize(produced());
     return std::move(out_);
   }
 
-  std::size_t consumed() const noexcept { return in_.byte_position(); }
+  /// Input bytes read so far, counting a partly read byte as read.
+  std::size_t consumed() const noexcept {
+    return at_ - (bits_ - pad_bits_) / 8;
+  }
 
  private:
-  void emit(std::uint8_t byte) {
-    if (out_.size() >= limits_.max_output) {
-      throw InflateError("inflate: output limit exceeded");
+  // --- bit buffer ---
+
+  void refill() noexcept {
+    if (in_size_ - at_ >= 8) {
+      hold_ |= load_le64(in_ + at_) << bits_;
+      at_ += (63 - bits_) >> 3;
+      bits_ |= 56;
+      return;
     }
-    out_.push_back(byte);
+    while (bits_ <= 56) {
+      if (at_ < in_size_) {
+        hold_ |= static_cast<std::uint64_t>(in_[at_++]) << bits_;
+      } else {
+        pad_bits_ += 8;
+      }
+      bits_ += 8;
+    }
   }
+
+  void drop(unsigned count) noexcept {
+    hold_ >>= count;
+    bits_ -= count;
+  }
+
+  /// Throws if the bits consumed so far run past the end of the input.
+  void check_input() const {
+    if (bits_ < pad_bits_) {
+      fail(InflateFailure::kTruncated, "inflate: unexpected end of input");
+    }
+  }
+
+  /// Reads `count` <= 32 bits, LSB first.
+  std::uint32_t take(unsigned count) {
+    if (bits_ < count) refill();
+    const auto value =
+        static_cast<std::uint32_t>(hold_ & ((std::uint64_t{1} << count) - 1));
+    drop(count);
+    check_input();
+    return value;
+  }
+
+  /// Decodes one symbol; the buffer must hold at least kMaxBits bits.
+  unsigned decode(const Huffman& code) {
+    std::uint32_t entry = code.fast(hold_);
+    if (entry == 0) {
+      entry = code.walk(hold_);
+      if (entry == 0) {
+        // The bit-at-a-time walk reads all kMaxBits bits before giving up.
+        if (bits_ - pad_bits_ < kMaxBits) {
+          fail(InflateFailure::kTruncated, "inflate: unexpected end of input");
+        }
+        fail(InflateFailure::kCorrupt, "inflate: invalid Huffman code");
+      }
+    }
+    drop(entry & 0xF);
+    check_input();
+    return entry >> 4;
+  }
+
+  // --- output ---
+
+  std::size_t produced() const noexcept {
+    return static_cast<std::size_t>(op_ - out_.data());
+  }
+
+  /// Makes room for `count` more output bytes, or throws at the limit.
+  void reserve(std::size_t count) {
+    const std::size_t used = produced();
+    if (count > max_output_ - used) {
+      fail(InflateFailure::kLimit, "inflate: output limit exceeded");
+    }
+    if (count <= static_cast<std::size_t>(oend_ - op_)) return;
+    out_.resize(std::min(max_output_, std::max(used + count, 2 * out_.size())));
+    op_ = out_.data() + used;
+    oend_ = out_.data() + out_.size();
+  }
+
+  // --- blocks ---
 
   void stored_block() {
-    in_.align();
-    std::uint8_t header[4];
-    in_.read_bytes(header, 4);
-    const std::uint16_t len =
-        static_cast<std::uint16_t>(header[0] | (header[1] << 8));
-    const std::uint16_t nlen =
-        static_cast<std::uint16_t>(header[2] | (header[3] << 8));
+    drop(bits_ & 7);  // to the byte boundary; only real bits can sit there
+    std::size_t at = consumed();
+    hold_ = 0;
+    bits_ = 0;
+    pad_bits_ = 0;
+    if (in_size_ - at < 4) {
+      fail(InflateFailure::kTruncated,
+           "inflate: unexpected end of stored data");
+    }
+    const auto len = static_cast<std::uint16_t>(in_[at] | (in_[at + 1] << 8));
+    const auto nlen =
+        static_cast<std::uint16_t>(in_[at + 2] | (in_[at + 3] << 8));
+    at += 4;
     if (len != static_cast<std::uint16_t>(~nlen)) {
-      throw InflateError("inflate: stored block LEN/NLEN mismatch");
+      fail(InflateFailure::kCorrupt, "inflate: stored block LEN/NLEN mismatch");
     }
-    if (out_.size() + len > limits_.max_output) {
-      throw InflateError("inflate: output limit exceeded");
+    if (len > max_output_ - produced()) {
+      fail(InflateFailure::kLimit, "inflate: output limit exceeded");
     }
-    const std::size_t at = out_.size();
-    out_.resize(at + len);
-    in_.read_bytes(out_.data() + at, len);
-  }
-
-  void fixed_block() {
-    if (!fixed_ready_) {
-      std::array<std::uint8_t, 288> lit_lengths;
-      for (int i = 0; i < 144; ++i) lit_lengths[static_cast<std::size_t>(i)] = 8;
-      for (int i = 144; i < 256; ++i) lit_lengths[static_cast<std::size_t>(i)] = 9;
-      for (int i = 256; i < 280; ++i) lit_lengths[static_cast<std::size_t>(i)] = 7;
-      for (int i = 280; i < 288; ++i) lit_lengths[static_cast<std::size_t>(i)] = 8;
-      fixed_literals_.build(lit_lengths.data(), lit_lengths.size());
-      std::array<std::uint8_t, 30> dist_lengths;
-      dist_lengths.fill(5);
-      fixed_distances_.build(dist_lengths.data(), dist_lengths.size());
-      fixed_ready_ = true;
+    if (in_size_ - at < len) {
+      fail(InflateFailure::kTruncated,
+           "inflate: unexpected end of stored data");
     }
-    compressed_block(fixed_literals_, fixed_distances_);
+    reserve(len);
+    if (len != 0) std::memcpy(op_, in_ + at, len);
+    op_ += len;
+    at_ = at + len;
   }
 
   void dynamic_block() {
-    const std::uint32_t hlit = in_.bits(5) + 257;
-    const std::uint32_t hdist = in_.bits(5) + 1;
-    const std::uint32_t hclen = in_.bits(4) + 4;
+    const std::uint32_t hlit = take(5) + 257;
+    const std::uint32_t hdist = take(5) + 1;
+    const std::uint32_t hclen = take(4) + 4;
     if (hlit > 286 || hdist > 30) {
-      throw InflateError("inflate: bad HLIT/HDIST");
+      fail(InflateFailure::kCorrupt, "inflate: bad HLIT/HDIST");
     }
     static constexpr std::uint8_t kOrder[19] = {
         16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
     std::array<std::uint8_t, 19> cl_lengths{};
     for (std::uint32_t i = 0; i < hclen; ++i) {
-      cl_lengths[kOrder[i]] = static_cast<std::uint8_t>(in_.bits(3));
+      cl_lengths[kOrder[i]] = static_cast<std::uint8_t>(take(3));
     }
-    Huffman cl_code;
-    cl_code.build(cl_lengths.data(), cl_lengths.size());
+    lengths_code_.build(cl_lengths.data(), cl_lengths.size());
 
     std::array<std::uint8_t, 286 + 30> lengths{};
     std::uint32_t at = 0;
     const std::uint32_t total = hlit + hdist;
+    auto repeat = [&](std::uint8_t value, std::uint32_t times) {
+      while (times-- > 0) {
+        if (at >= total) {
+          fail(InflateFailure::kCorrupt, "inflate: repeat overflows");
+        }
+        lengths[at++] = value;
+      }
+    };
     while (at < total) {
-      const int symbol = cl_code.decode(in_);
+      refill();
+      const unsigned symbol = decode(lengths_code_);
       if (symbol < 16) {
         lengths[at++] = static_cast<std::uint8_t>(symbol);
       } else if (symbol == 16) {
-        if (at == 0) throw InflateError("inflate: repeat with no previous");
+        if (at == 0) {
+          fail(InflateFailure::kCorrupt, "inflate: repeat with no previous");
+        }
         const std::uint8_t prev = lengths[at - 1];
-        std::uint32_t repeat = 3 + in_.bits(2);
-        while (repeat-- > 0) {
-          if (at >= total) throw InflateError("inflate: repeat overflows");
-          lengths[at++] = prev;
-        }
+        repeat(prev, 3 + take(2));
       } else if (symbol == 17) {
-        std::uint32_t repeat = 3 + in_.bits(3);
-        while (repeat-- > 0) {
-          if (at >= total) throw InflateError("inflate: repeat overflows");
-          lengths[at++] = 0;
-        }
+        repeat(0, 3 + take(3));
       } else {  // 18
-        std::uint32_t repeat = 11 + in_.bits(7);
-        while (repeat-- > 0) {
-          if (at >= total) throw InflateError("inflate: repeat overflows");
-          lengths[at++] = 0;
-        }
+        repeat(0, 11 + take(7));
       }
     }
     if (lengths[256] == 0) {
-      throw InflateError("inflate: missing end-of-block code");
+      fail(InflateFailure::kCorrupt, "inflate: missing end-of-block code");
     }
-    Huffman literals;
-    literals.build(lengths.data(), hlit);
-    Huffman distances;
-    distances.build(lengths.data() + hlit, hdist);
-    compressed_block(literals, distances);
+    literals_.build(lengths.data(), hlit);
+    distances_.build(lengths.data() + hlit, hdist);
+    compressed_block(literals_, distances_);
   }
 
+  /// The hot loop. One refill per symbol: a literal/length code, its extra
+  /// bits, a distance code and its extra bits take at most 15+5+15+13 = 48
+  /// bits, and refill() leaves at least 56.
   void compressed_block(const Huffman& literals, const Huffman& distances) {
     while (true) {
-      const int symbol = literals.decode(in_);
+      refill();
+      const unsigned symbol = decode(literals);
       if (symbol < 256) {
-        emit(static_cast<std::uint8_t>(symbol));
+        if (op_ == oend_) reserve(1);
+        *op_++ = static_cast<std::uint8_t>(symbol);
         continue;
       }
       if (symbol == 256) return;  // end of block
-      if (symbol > 285) throw InflateError("inflate: invalid length symbol");
-      const int length_index = symbol - 257;
-      const std::uint32_t length =
+      if (symbol > 285) {
+        fail(InflateFailure::kCorrupt, "inflate: invalid length symbol");
+      }
+      const unsigned length_index = symbol - 257;
+      const unsigned length_extra = kLengthExtra[length_index];
+      const std::size_t length =
           kLengthBase[length_index] +
-          in_.bits(kLengthExtra[length_index]);
-      const int dist_symbol = distances.decode(in_);
-      if (dist_symbol > 29) throw InflateError("inflate: invalid distance");
-      const std::uint32_t distance =
-          kDistBase[dist_symbol] + in_.bits(kDistExtra[dist_symbol]);
-      if (distance > out_.size()) {
-        throw InflateError("inflate: distance beyond output start");
+          static_cast<unsigned>(hold_ & ((1u << length_extra) - 1));
+      drop(length_extra);
+      check_input();
+      const unsigned dist_symbol = decode(distances);
+      if (dist_symbol > 29) {
+        fail(InflateFailure::kCorrupt, "inflate: invalid distance");
       }
-      for (std::uint32_t i = 0; i < length; ++i) {
-        emit(out_[out_.size() - distance]);
+      const unsigned dist_extra = kDistExtra[dist_symbol];
+      const std::size_t distance =
+          kDistBase[dist_symbol] +
+          static_cast<unsigned>(hold_ & ((1u << dist_extra) - 1));
+      drop(dist_extra);
+      check_input();
+      if (distance > produced()) {
+        fail(InflateFailure::kCorrupt, "inflate: distance beyond output start");
       }
+      if (length > static_cast<std::size_t>(oend_ - op_)) reserve(length);
+      const std::uint8_t* from = op_ - distance;
+      if (distance >= length) {
+        std::memcpy(op_, from, length);
+      } else {
+        // Overlapping copy: each byte may repeat one written this match.
+        for (std::size_t i = 0; i < length; ++i) op_[i] = from[i];
+      }
+      op_ += length;
     }
   }
 
-  BitReader in_;
-  InflateLimits limits_;
-  Bytes out_;
+  const std::uint8_t* in_;
+  std::size_t in_size_;
+  std::size_t at_ = 0;  ///< next input byte to load into hold_
+  std::uint64_t hold_ = 0;
+  unsigned bits_ = 0;
+  unsigned pad_bits_ = 0;
 
-  bool fixed_ready_ = false;
-  Huffman fixed_literals_;
-  Huffman fixed_distances_;
+  std::size_t max_output_;
+  Bytes out_;
+  std::uint8_t* op_ = nullptr;    ///< next output byte
+  std::uint8_t* oend_ = nullptr;  ///< end of out_'s current size
+
+  Huffman lengths_code_;
+  Huffman literals_;
+  Huffman distances_;
 };
 
 std::uint32_t le32(BytesView data, std::size_t at) {
   if (at + 4 > data.size()) {
-    throw InflateError("inflate: truncated trailer");
+    fail(InflateFailure::kTruncated, "inflate: truncated trailer");
   }
   return static_cast<std::uint32_t>(data[at]) |
          (static_cast<std::uint32_t>(data[at + 1]) << 8) |
@@ -317,9 +462,28 @@ std::uint32_t le32(BytesView data, std::size_t at) {
 
 }  // namespace
 
+const char* inflate_failure_name(InflateFailure reason) noexcept {
+  switch (reason) {
+    case InflateFailure::kTruncated:
+      return "truncated";
+    case InflateFailure::kCorrupt:
+      return "corrupt";
+    case InflateFailure::kLimit:
+      return "limit";
+  }
+  return "unknown";
+}
+
+InflateResult inflate_prefix(BytesView data, const InflateLimits& limits) {
+  Inflater inflater(data, limits);
+  InflateResult result;
+  result.output = inflater.run();
+  result.consumed = inflater.consumed();
+  return result;
+}
+
 Bytes inflate(BytesView deflate_stream, const InflateLimits& limits) {
-  Inflater inflater(deflate_stream, limits);
-  return inflater.run();
+  return inflate_prefix(deflate_stream, limits).output;
 }
 
 std::uint32_t adler32(BytesView data) noexcept {
@@ -349,17 +513,20 @@ bool looks_like_zlib(BytesView data) noexcept {
 }
 
 Bytes zlib_decompress(BytesView stream, const InflateLimits& limits) {
-  if (stream.size() < 6 || !looks_like_zlib(stream)) {
-    throw InflateError("zlib: bad header");
+  if (!looks_like_zlib(stream)) {
+    fail(InflateFailure::kCorrupt, "zlib: bad header");
+  }
+  if (stream.size() < 6) {
+    fail(InflateFailure::kTruncated, "zlib: short stream");
   }
   if (stream[1] & 0x20) {
-    throw InflateError("zlib: preset dictionary not supported");
+    fail(InflateFailure::kCorrupt, "zlib: preset dictionary not supported");
   }
   Inflater inflater(stream.subspan(2), limits);
   Bytes out = inflater.run();
   const std::size_t trailer_at = 2 + inflater.consumed();
   if (trailer_at + 4 > stream.size()) {
-    throw InflateError("zlib: missing Adler-32 trailer");
+    fail(InflateFailure::kTruncated, "zlib: missing Adler-32 trailer");
   }
   const std::uint32_t expected =
       (static_cast<std::uint32_t>(stream[trailer_at]) << 24) |
@@ -367,7 +534,7 @@ Bytes zlib_decompress(BytesView stream, const InflateLimits& limits) {
       (static_cast<std::uint32_t>(stream[trailer_at + 2]) << 8) |
       static_cast<std::uint32_t>(stream[trailer_at + 3]);
   if (adler32(out) != expected) {
-    throw InflateError("zlib: Adler-32 mismatch");
+    fail(InflateFailure::kCorrupt, "zlib: Adler-32 mismatch");
   }
   return out;
 }
@@ -377,41 +544,52 @@ bool looks_like_gzip(BytesView data) noexcept {
 }
 
 Bytes gzip_decompress(BytesView stream, const InflateLimits& limits) {
-  if (stream.size() < 18 || !looks_like_gzip(stream)) {
-    throw InflateError("gzip: bad magic");
+  if (!looks_like_gzip(stream)) {
+    fail(InflateFailure::kCorrupt, "gzip: bad magic");
+  }
+  if (stream.size() < 18) {
+    fail(InflateFailure::kTruncated, "gzip: short member");
   }
   if (stream[2] != 8) {
-    throw InflateError("gzip: unsupported compression method");
+    fail(InflateFailure::kCorrupt, "gzip: unsupported compression method");
   }
   const std::uint8_t flags = stream[3];
   if (flags & 0xE0) {
-    throw InflateError("gzip: reserved flag bits set");
+    fail(InflateFailure::kCorrupt, "gzip: reserved flag bits set");
   }
   std::size_t at = 10;  // magic(2) CM(1) FLG(1) MTIME(4) XFL(1) OS(1)
   if (flags & 0x04) {  // FEXTRA
-    if (at + 2 > stream.size()) throw InflateError("gzip: truncated FEXTRA");
+    if (at + 2 > stream.size()) {
+      fail(InflateFailure::kTruncated, "gzip: truncated FEXTRA");
+    }
     const std::size_t xlen = stream[at] | (stream[at + 1] << 8);
     at += 2 + xlen;
   }
   auto skip_zstring = [&] {
     while (true) {
-      if (at >= stream.size()) throw InflateError("gzip: truncated string");
+      if (at >= stream.size()) {
+        fail(InflateFailure::kTruncated, "gzip: truncated string");
+      }
       if (stream[at++] == 0) break;
     }
   };
   if (flags & 0x08) skip_zstring();  // FNAME
   if (flags & 0x10) skip_zstring();  // FCOMMENT
   if (flags & 0x02) {                // FHCRC
-    if (at + 2 > stream.size()) throw InflateError("gzip: truncated FHCRC");
+    if (at + 2 > stream.size()) {
+      fail(InflateFailure::kTruncated, "gzip: truncated FHCRC");
+    }
     const std::uint16_t expected =
         static_cast<std::uint16_t>(stream[at] | (stream[at + 1] << 8));
     const std::uint16_t actual =
         static_cast<std::uint16_t>(crc32(stream.first(at)) & 0xFFFF);
-    if (expected != actual) throw InflateError("gzip: header CRC mismatch");
+    if (expected != actual) {
+      fail(InflateFailure::kCorrupt, "gzip: header CRC mismatch");
+    }
     at += 2;
   }
   if (at >= stream.size()) {
-    throw InflateError("gzip: missing deflate payload");
+    fail(InflateFailure::kTruncated, "gzip: missing deflate payload");
   }
 
   Inflater inflater(stream.subspan(at), limits);
@@ -420,10 +598,10 @@ Bytes gzip_decompress(BytesView stream, const InflateLimits& limits) {
   const std::uint32_t expected_crc = le32(stream, trailer_at);
   const std::uint32_t expected_size = le32(stream, trailer_at + 4);
   if (crc32(out) != expected_crc) {
-    throw InflateError("gzip: CRC-32 mismatch");
+    fail(InflateFailure::kCorrupt, "gzip: CRC-32 mismatch");
   }
   if ((out.size() & 0xFFFFFFFFu) != expected_size) {
-    throw InflateError("gzip: ISIZE mismatch");
+    fail(InflateFailure::kCorrupt, "gzip: ISIZE mismatch");
   }
   return out;
 }

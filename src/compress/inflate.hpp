@@ -12,7 +12,10 @@
 // blocks, full LZ77 length/distance coding — plus header/trailer handling
 // and checksum verification for both wrappers. Malformed input raises
 // InflateError; output size is bounded to keep decompression bombs from
-// exhausting an instance.
+// exhausting an instance. The decoder is table-driven (DESIGN.md §4b,
+// "Inflate"): a 64-bit bit buffer, a 2^10-entry first-level lookup per
+// Huffman code with a canonical walk for longer codes, and an output
+// buffer that grows geometrically up to the limit.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +26,25 @@
 
 namespace dpisvc::compress {
 
+/// Why an inflate failed. The service counts failed attempts per reason.
+enum class InflateFailure : std::uint8_t {
+  kTruncated,  ///< input ended before the stream or its trailer did
+  kCorrupt,    ///< malformed stream, header or checksum mismatch
+  kLimit,      ///< output would exceed InflateLimits::max_output
+};
+inline constexpr std::size_t kInflateFailureCount = 3;
+
+/// "truncated", "corrupt" or "limit".
+const char* inflate_failure_name(InflateFailure reason) noexcept;
+
 class InflateError : public std::runtime_error {
-  using std::runtime_error::runtime_error;
+ public:
+  InflateError(InflateFailure reason, const std::string& what)
+      : std::runtime_error(what), reason_(reason) {}
+  InflateFailure reason() const noexcept { return reason_; }
+
+ private:
+  InflateFailure reason_;
 };
 
 struct InflateLimits {
@@ -34,6 +54,18 @@ struct InflateLimits {
 
 /// Decompresses a raw DEFLATE stream (no wrapper).
 Bytes inflate(BytesView deflate_stream, const InflateLimits& limits = {});
+
+/// A raw DEFLATE stream decoded from the start of a buffer.
+struct InflateResult {
+  Bytes output;
+  /// Input bytes the stream spanned, through the byte holding the final
+  /// block's last bit: the offset at which a wrapper's trailer starts.
+  std::size_t consumed = 0;
+};
+
+/// Like inflate(), but also reports where the stream ended; bytes after
+/// the final block are left unread.
+InflateResult inflate_prefix(BytesView data, const InflateLimits& limits = {});
 
 /// Decompresses a zlib stream (RFC 1950): header checks + Adler-32 verify.
 Bytes zlib_decompress(BytesView stream, const InflateLimits& limits = {});

@@ -99,6 +99,12 @@ DpiInstance::DpiInstance(std::string name, InstanceConfig config)
       o.defrag_rejected = &metrics_.counter(p + "defrag.rejected");
       o.defrag_ambiguous = &metrics_.counter(p + "defrag.ambiguous_fragments");
       o.defrag_evicted = &metrics_.counter(p + "defrag.evicted_incomplete");
+      for (std::size_t r = 0; r < compress::kInflateFailureCount; ++r) {
+        o.decompress_fallback[r] = &metrics_.counter(
+            p + "decompress.fallback." +
+            compress::inflate_failure_name(
+                static_cast<compress::InflateFailure>(r)));
+      }
     }
     shards_.push_back(std::move(shard));
   }
@@ -284,6 +290,22 @@ json::Value DpiInstance::stats_json() const {
   defrag["conflicting_bytes"] = json::Value(ds.conflicting_bytes);
   defrag["evicted_incomplete"] = json::Value(ds.evicted_incomplete);
   root["defrag"] = json::Value(std::move(defrag));
+
+  if (config_.metrics) {
+    // Failed inflate attempts (payload scanned raw), summed over shards.
+    json::Object decompress;
+    for (std::size_t r = 0; r < compress::kInflateFailureCount; ++r) {
+      std::uint64_t total = 0;
+      for (const auto& shard : shards_) {
+        total += shard->obs.decompress_fallback[r]->value();
+      }
+      decompress[std::string("fallback_") +
+                 compress::inflate_failure_name(
+                     static_cast<compress::InflateFailure>(r))] =
+          json::Value(total);
+    }
+    root["decompress"] = json::Value(std::move(decompress));
+  }
 
   json::Object ingest;
   ingest["overload_policy"] =
@@ -747,8 +769,10 @@ net::MatchReport DpiInstance::build_report(dpi::ChainId chain,
 
 /// Decompress-once preprocessing (§1): returns the inflated payload when
 /// the packet carries a gzip or zlib body and decompression is enabled;
-/// otherwise std::nullopt (scan the raw bytes).
-std::optional<Bytes> DpiInstance::maybe_decompress(BytesView payload) {
+/// otherwise std::nullopt (scan the raw bytes). A failed attempt is counted
+/// by reason, so a raw-scan fallback is never silent.
+std::optional<Bytes> DpiInstance::maybe_decompress(const ShardInstruments& obs,
+                                                   BytesView payload) const {
   if (!config_.decompress_payloads) return std::nullopt;
   compress::InflateLimits limits;
   limits.max_output = config_.max_decompressed;
@@ -759,8 +783,11 @@ std::optional<Bytes> DpiInstance::maybe_decompress(BytesView payload) {
     if (compress::looks_like_zlib(payload)) {
       return compress::zlib_decompress(payload, limits);
     }
-  } catch (const compress::InflateError&) {
+  } catch (const compress::InflateError& e) {
     // Not actually compressed (or corrupt / a bomb): scan the raw bytes.
+    obs::Counter* fallback =
+        obs.decompress_fallback[static_cast<std::size_t>(e.reason())];
+    if (fallback != nullptr) fallback->add();
   }
   return std::nullopt;
 }
@@ -829,7 +856,7 @@ ProcessOutput DpiInstance::process_on_shard(Shard& shard, net::Packet packet) {
 
   // Decompress once for all middleboxes on the chain (§1).
   BytesView scan_bytes = stream_bytes;
-  std::optional<Bytes> inflated = maybe_decompress(stream_bytes);
+  std::optional<Bytes> inflated = maybe_decompress(shard.obs, stream_bytes);
   if (inflated) {
     ++shard.telemetry.decompressed_packets;
     shard.telemetry.decompressed_bytes += inflated->size();

@@ -34,6 +34,7 @@
 // any shard mutex; never two shard mutexes at once.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -44,6 +45,7 @@
 
 #include "common/thread_safety.hpp"
 #include "common/timer.hpp"
+#include "compress/inflate.hpp"
 #include "dpi/engine.hpp"
 #include "dpi/flow_table.hpp"
 #include "json/json.hpp"
@@ -373,6 +375,10 @@ class DpiInstance {
     obs::Counter* defrag_rejected = nullptr;
     obs::Counter* defrag_ambiguous = nullptr;
     obs::Counter* defrag_evicted = nullptr;
+    // Failed inflate attempts whose payload was scanned raw, indexed by
+    // compress::InflateFailure (shard<i>.decompress.fallback.<reason>).
+    std::array<obs::Counter*, compress::kInflateFailureCount>
+        decompress_fallback{};
   };
 
   /// Everything a data-plane worker touches, under one mutex. Flows are
@@ -412,7 +418,8 @@ class DpiInstance {
 
   net::MatchReport build_report(dpi::ChainId chain, std::uint64_t packet_ref,
                                 const dpi::ScanResult& scan) const;
-  std::optional<Bytes> maybe_decompress(BytesView payload);
+  std::optional<Bytes> maybe_decompress(const ShardInstruments& obs,
+                                        BytesView payload) const;
   /// Scan body shared by scan(), process() and scan_batch(); the caller
   /// must hold shard.mu (compiler-enforced under DPISVC_THREAD_SAFETY).
   dpi::ScanResult scan_on_shard(Shard& shard, dpi::ChainId chain,

@@ -186,6 +186,32 @@ TEST(Checksum, Crc32Empty) {
   EXPECT_EQ(crc32({}), 0x00000000u);
 }
 
+/// CRC-32 straight from the polynomial: one bit at a time, no tables.
+std::uint32_t crc32_bitwise(BytesView data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Checksum, Crc32SlicingMatchesBitwiseAtEveryLengthAndAlignment) {
+  // Lengths 0..64 cover the bytewise tail alone, one to eight 8-byte
+  // steps, and every tail length after them; offsets 0..7 move the start
+  // across every alignment of the 8-byte loads.
+  Rng rng(0xC4C32);
+  Bytes buffer(64 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const BytesView view = BytesView(buffer).subspan(offset, length);
+      ASSERT_EQ(crc32(view), crc32_bitwise(view))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 TEST(Checksum, Fnv1aKnownVector) {
   // FNV-1a 64-bit of "a" = 0xaf63dc4c8601ec8c.
   EXPECT_EQ(fnv1a(to_bytes("a")), 0xaf63dc4c8601ec8cULL);

@@ -3,6 +3,8 @@
 // groups (§4.3).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "compress/deflate.hpp"
 #include "mbox/boxes.hpp"
 #include "mbox/middlebox_node.hpp"
@@ -98,6 +100,60 @@ TEST(Decompression, BombProtectionBoundsOutput) {
   // Inflation aborts at the bound and the raw (no-match) bytes are scanned.
   EXPECT_FALSE(out.had_matches);
   EXPECT_EQ(inst.telemetry().decompressed_packets, 0u);
+}
+
+TEST(Decompression, FailedInflatesCountedByReason) {
+  InstanceConfig config;
+  config.decompress_payloads = true;
+  config.max_decompressed = 512;
+  DpiInstance inst("i1", config);
+  inst.load_engine(simple_engine(false), 1);
+  auto fallbacks = [&] {
+    const json::Value stats = inst.stats_json();
+    const json::Value& d = stats.at("decompress");
+    return std::array<std::int64_t, 3>{d.at("fallback_truncated").as_int(),
+                                       d.at("fallback_corrupt").as_int(),
+                                       d.at("fallback_limit").as_int()};
+  };
+  using Counts = std::array<std::int64_t, 3>;
+  EXPECT_EQ(fallbacks(), (Counts{0, 0, 0}));
+  std::uint64_t raw_bytes = 0;
+  auto feed = [&](Bytes payload) {
+    raw_bytes += payload.size();
+    (void)inst.process(tagged(std::move(payload)));
+    // Every failed member is scanned in its raw form.
+    EXPECT_EQ(inst.telemetry().bytes, raw_bytes);
+    EXPECT_EQ(inst.telemetry().decompressed_packets, 0u);
+  };
+
+  // Corrupt: gzip magic, then a stored block whose LEN/NLEN disagree.
+  Bytes corrupt = {0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 0xFF};
+  const Bytes text = to_bytes(" raw hidden-attack bytes ");
+  corrupt.insert(corrupt.end(), text.begin(), text.end());
+  feed(corrupt);
+  EXPECT_EQ(fallbacks(), (Counts{0, 1, 0}));
+
+  // Over max_decompressed.
+  feed(compress::gzip_compress(Bytes(100000, 'x')));
+  EXPECT_EQ(fallbacks(), (Counts{0, 1, 1}));
+
+  // Truncated: a whole member less the last trailer byte.
+  Bytes cut = compress::gzip_compress(text);
+  cut.pop_back();
+  feed(cut);
+  EXPECT_EQ(fallbacks(), (Counts{1, 1, 1}));
+
+  // The per-shard obs counters carry the same counts.
+  const json::Value metrics = inst.stats_json().at("metrics");
+  const json::Value& counters = metrics.at("counters");
+  EXPECT_EQ(counters.at("shard0.decompress.fallback.truncated").as_int(), 1);
+  EXPECT_EQ(counters.at("shard0.decompress.fallback.corrupt").as_int(), 1);
+  EXPECT_EQ(counters.at("shard0.decompress.fallback.limit").as_int(), 1);
+
+  // A member that inflates touches no fallback counter.
+  (void)inst.process(tagged(compress::gzip_compress(text)));
+  EXPECT_EQ(inst.telemetry().decompressed_packets, 1u);
+  EXPECT_EQ(fallbacks(), (Counts{1, 1, 1}));
 }
 
 TEST(Decompression, PlainPayloadUnaffected) {

@@ -171,6 +171,20 @@ void print_pretty(const json::Value& response,
   std::printf("  ambiguous frags: %llu\n",
               static_cast<unsigned long long>(
                   count_of(defrag, "ambiguous_fragments")));
+  // Decompress-once fallbacks: failed inflates scanned raw, by reason.
+  const json::Value& decompress = stats.get_or("decompress", json::Value());
+  if (decompress.is_object()) {
+    std::printf("decompress fallbacks\n");
+    std::printf("  truncated:       %llu\n",
+                static_cast<unsigned long long>(
+                    count_of(decompress, "fallback_truncated")));
+    std::printf("  corrupt:         %llu\n",
+                static_cast<unsigned long long>(
+                    count_of(decompress, "fallback_corrupt")));
+    std::printf("  limit:           %llu\n",
+                static_cast<unsigned long long>(
+                    count_of(decompress, "fallback_limit")));
+  }
   // Batched-ingest backpressure (DESIGN.md §4h): bounded per-shard rings
   // turn a stalled shard into these counters instead of memory growth.
   const json::Value& ingest = stats.get_or("ingest", json::Value());
