@@ -15,11 +15,13 @@
 // same interleavings without the data-race detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "netsim/fabric.hpp"
 #include "netsim/host.hpp"
 #include "service/controller.hpp"
@@ -261,7 +263,9 @@ TEST(TsanStress, ShardedPoolScanVsSwapVsMigration) {
   });
 
   // Control plane (this thread): hot engine swaps and bulk flow migration
-  // race the scanners above.
+  // race the scanners above. On a loaded machine all 15 rounds could finish
+  // before any scanner completes a pass, so wait for the first one.
+  while (packets.load() == 0) std::this_thread::yield();
   for (int round = 0; round < 15; ++round) {
     const auto& engine = round % 2 == 0 ? engine_b : engine_a;
     inst.load_engine(engine, static_cast<std::uint64_t>(round + 2));
@@ -280,6 +284,99 @@ TEST(TsanStress, ShardedPoolScanVsSwapVsMigration) {
   EXPECT_EQ(inst.engine_version(), peer.engine_version());
 }
 
+
+// Shared regex verification: the workers of a 4-worker instance run the
+// same engine's regex matchers concurrently, each over its own thread-local
+// VM scratch, on a stateful chain whose regex instances straddle packets.
+// Every packet's matches must equal those of a 1-worker instance.
+TEST(TsanStress, SharedEngineStatefulRegexMatchesSingleWorker) {
+  dpi::EngineSpec spec;
+  dpi::MiddleboxProfile ids;
+  ids.id = 1;
+  ids.name = "ids";
+  ids.stateful = true;
+  spec.middleboxes = {ids};
+  // Programs from a few instructions to several hundred, so the workers'
+  // scratch grows and is reused across very different sizes.
+  const std::vector<std::pair<std::string, std::string>> rules = {
+      {R"(alpha7[0-9]+zulu)", "alpha71234zulu"},
+      {R"(bravo9\s*[a-z]{2,12}x)", "bravo9   qwertx"},
+      {R"(charlie(?:ab|cd){1,40}end)", "charlieabcdcdabend"},
+      {R"(delta\w{0,200}omega)", "delta_some_word_42omega"},
+      {R"(echo\d{3}|foxtrot[^!]*!)", "foxtrot and more!"},
+  };
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    spec.regex_patterns.push_back(dpi::RegexPatternSpec{
+        rules[i].first, 1, static_cast<dpi::PatternId>(i), false});
+  }
+  spec.chains[1] = {1};
+  const auto engine = dpi::Engine::compile(spec);
+
+  // Per flow: filler text with planted instances (and near misses) cut into
+  // small segments, round-robin interleaved across flows.
+  Rng rng(1337);
+  constexpr std::size_t kFlows = 48;
+  std::vector<std::vector<Bytes>> segments(kFlows);
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    std::string stream;
+    for (int k = 0; k < 12; ++k) {
+      for (std::size_t j = rng.index(40); j > 0; --j) {
+        stream.push_back(" abcdefgh0123!"[rng.index(14)]);
+      }
+      const auto& rule = rules[rng.index(rules.size())];
+      stream += rng.bernoulli(0.6) ? rule.second
+                                   : rule.second.substr(0, rule.second.size() - 1);
+    }
+    for (std::size_t at = 0; at < stream.size();) {
+      const std::size_t take = std::min<std::size_t>(1 + rng.index(48),
+                                                     stream.size() - at);
+      segments[f].push_back(to_bytes(stream.substr(at, take)));
+      at += take;
+    }
+  }
+  std::vector<ScanItem> items;
+  for (std::size_t k = 0;; ++k) {
+    bool any = false;
+    for (std::size_t f = 0; f < kFlows; ++f) {
+      if (k >= segments[f].size()) continue;
+      any = true;
+      const net::FiveTuple tuple{
+          net::Ipv4Addr(10, 2, static_cast<std::uint8_t>(f), 1),
+          net::Ipv4Addr(10, 3, 0, 1), static_cast<std::uint16_t>(2000 + f), 80,
+          net::IpProto::kTcp};
+      items.push_back(ScanItem{1, tuple, BytesView(segments[f][k])});
+    }
+    if (!any) break;
+  }
+
+  auto run = [&](std::size_t workers) {
+    InstanceConfig config;
+    config.num_workers = workers;
+    DpiInstance inst("regex", config);
+    inst.load_engine(engine, 1);
+    std::vector<std::vector<net::MatchEntry>> out;
+    std::uint64_t evaluated = 0;
+    for (const dpi::ScanResult& result : inst.scan_batch(items)) {
+      out.emplace_back();
+      for (const auto& section : result.matches) {
+        out.back().insert(out.back().end(), section.entries.begin(),
+                          section.entries.end());
+      }
+      evaluated += result.regexes_evaluated;
+    }
+    return std::make_pair(out, evaluated);
+  };
+  const auto [single, single_evals] = run(1);
+  const auto [pooled, pooled_evals] = run(4);
+  ASSERT_EQ(single.size(), items.size());
+  EXPECT_EQ(pooled, single);
+  EXPECT_EQ(pooled_evals, single_evals);
+  std::size_t matches = 0;
+  for (const auto& entries : single) matches += entries.size();
+  // Planted instances match and near misses are evaluated without matching.
+  EXPECT_GT(matches, kFlows * 3);
+  EXPECT_GT(single_evals, matches);
+}
 
 // Snapshot-and-reset coherence: while scanner threads run, a telemetry
 // thread repeatedly drains the counters via reset_telemetry(). Every packet
