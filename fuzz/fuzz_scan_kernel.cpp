@@ -4,9 +4,9 @@
 // chains) is compiled once with the kernel forced on, so the hot layout
 // exists even under DPISVC_FORCE_SCALAR. The input bytes decode to a chain
 // selector and a packet sequence; every packet is scanned twice through
-// the same engine — scan_packet_as(kScalar) and scan_packet_as(kBatched) —
+// the same engine — scan_packet(…, kScalar) and scan_packet(…, kBatched) —
 // with independently carried flow cursors, and the packet list is also fed
-// through scan_batch_as both ways (the flow-interleaved lane path).
+// through scan_batch both ways (the flow-interleaved lane path).
 // Oracles:
 //  * no crash / sanitizer report on any packet sequence;
 //  * the batched kernel's results are byte-identical to the scalar loop's:
@@ -101,10 +101,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   dpi::FlowCursor scalar_cursor;
   dpi::FlowCursor kernel_cursor;
   for (const BytesView packet : packets) {
-    const dpi::ScanResult ref = engine->scan_packet_as(
-        dpi::ScanKernel::kScalar, chain, packet, scalar_cursor);
-    const dpi::ScanResult got = engine->scan_packet_as(
-        dpi::ScanKernel::kBatched, chain, packet, kernel_cursor);
+    const dpi::ScanResult ref = engine->scan_packet(
+        chain, packet, scalar_cursor, dpi::ScanKernel::kScalar);
+    const dpi::ScanResult got = engine->scan_packet(
+        chain, packet, kernel_cursor, dpi::ScanKernel::kBatched);
     if (!same(ref, got)) __builtin_trap();
     scalar_cursor = ref.cursor;
     kernel_cursor = got.cursor;
@@ -113,9 +113,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Batch differential: the interleaved lane walk over stateless packets
   // must equal the sequential scalar loop item-for-item.
   const auto refs =
-      engine->scan_batch_as(dpi::ScanKernel::kScalar, chain, packets, nullptr);
+      engine->scan_batch(chain, packets, nullptr, dpi::ScanKernel::kScalar);
   const auto gots =
-      engine->scan_batch_as(dpi::ScanKernel::kBatched, chain, packets, nullptr);
+      engine->scan_batch(chain, packets, nullptr, dpi::ScanKernel::kBatched);
   if (refs.size() != gots.size()) __builtin_trap();
   for (std::size_t i = 0; i < refs.size(); ++i) {
     if (!same(refs[i], gots[i])) __builtin_trap();

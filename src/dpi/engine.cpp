@@ -20,32 +20,12 @@ const MiddleboxProfile* Engine::find_middlebox(MiddleboxId id) const noexcept {
   return nullptr;
 }
 
-MiddleboxBitmap Engine::chain_bitmap(ChainId chain) const {
-  auto it = chain_bitmaps_.find(chain);
-  if (it == chain_bitmaps_.end()) {
+const Engine::ChainInfo& Engine::chain_info(ChainId id) const {
+  auto it = chains_.find(id);
+  if (it == chains_.end()) {
     throw std::invalid_argument("Engine: unknown policy chain");
   }
   return it->second;
-}
-
-bool Engine::chain_stateful(ChainId chain) const {
-  auto it = chain_stateful_.find(chain);
-  if (it == chain_stateful_.end()) {
-    throw std::invalid_argument("Engine: unknown policy chain");
-  }
-  return it->second;
-}
-
-bool Engine::chain_read_only(ChainId chain) const {
-  auto it = chain_members_.find(chain);
-  if (it == chain_members_.end()) {
-    throw std::invalid_argument("Engine: unknown policy chain");
-  }
-  for (MiddleboxId id : it->second) {
-    const MiddleboxProfile* p = find_middlebox(id);
-    if (p == nullptr || !p->read_only) return false;
-  }
-  return !it->second.empty();
 }
 
 std::uint32_t Engine::num_automaton_states() const noexcept {
@@ -246,30 +226,28 @@ std::shared_ptr<const Engine> Engine::compile(const EngineSpec& spec,
   }
 
   // --- policy chains (§5.2) ------------------------------------------------
-  for (const auto& [chain, members] : spec.chains) {
-    MiddleboxBitmap bitmap = 0;
-    StopSpec stop;
-    bool any_stateful = false;
-    for (MiddleboxId id : members) {
-      if (!(seen & bitmap_of(id))) {
+  for (const auto& [id, members] : spec.chains) {
+    ChainInfo chain;
+    chain.members = members;
+    chain.read_only = !members.empty();
+    for (MiddleboxId mbox : members) {
+      if (!(seen & bitmap_of(mbox))) {
         throw std::invalid_argument("Engine: chain references unknown middlebox");
       }
-      bitmap |= bitmap_of(id);
-      const MiddleboxProfile* p = engine->find_middlebox(id);
+      chain.active |= bitmap_of(mbox);
+      const MiddleboxProfile* p = engine->find_middlebox(mbox);
       // Stateless and stateful depths are tracked separately: the former
       // renew per packet, the latter are consumed by the flow offset, and
-      // the scan clamp needs both maxima (scan_impl).
+      // the scan clamp needs both maxima (prepare_scan).
       if (p->stateful) {
-        stop.stateful = std::max(stop.stateful, p->stop_offset);
+        chain.stop.stateful = std::max(chain.stop.stateful, p->stop_offset);
       } else {
-        stop.stateless = std::max(stop.stateless, p->stop_offset);
+        chain.stop.stateless = std::max(chain.stop.stateless, p->stop_offset);
       }
-      any_stateful |= p->stateful;
+      chain.stateful |= p->stateful;
+      chain.read_only &= p->read_only;
     }
-    engine->chain_members_[chain] = members;
-    engine->chain_bitmaps_[chain] = bitmap;
-    engine->chain_stop_[chain] = stop;
-    engine->chain_stateful_[chain] = any_stateful;
+    engine->chains_[id] = std::move(chain);
   }
 
   // --- batched scan kernel -------------------------------------------------
@@ -302,11 +280,12 @@ MiddleboxMatches& Engine::section_for(ScanResult& result,
 }
 
 Engine::Prepared Engine::prepare_scan(ac::StateIndex start_state,
-                                      const StopSpec& stop, bool any_stateful,
+                                      const ChainInfo& chain,
                                       BytesView payload,
                                       const FlowCursor& cursor) const {
+  const StopSpec& stop = chain.stop;
   Prepared prep;
-  prep.resume = any_stateful && cursor.valid;
+  prep.resume = chain.stateful && cursor.valid;
   prep.offset = prep.resume ? cursor.offset : 0;
   prep.state = prep.resume ? cursor.dfa_state : start_state;
 
@@ -358,11 +337,12 @@ struct RawScratch {
 
 }  // namespace
 
-void Engine::finish_scan(MiddleboxBitmap active, bool any_stateful,
-                         const Prepared& prep, const FlowCursor& cursor,
-                         ac::StateIndex final_state,
+void Engine::finish_scan(const ChainInfo& chain, const Prepared& prep,
+                         const FlowCursor& cursor, ac::StateIndex final_state,
                          const std::vector<ac::Match>& events,
                          ScanResult& result) const {
+  const MiddleboxBitmap active = chain.active;
+  const bool any_stateful = chain.stateful;
   const BytesView scanned = prep.scanned;
   const std::uint64_t offset = prep.offset;
 
@@ -499,11 +479,10 @@ void Engine::finish_scan(MiddleboxBitmap active, bool any_stateful,
 
 template <typename Automaton>
 ScanResult Engine::scan_impl(const Automaton& automaton, bool use_kernel,
-                             MiddleboxBitmap active, const StopSpec& stop,
-                             bool any_stateful, BytesView payload,
+                             const ChainInfo& chain, BytesView payload,
                              const FlowCursor& cursor) const {
-  const Prepared prep = prepare_scan(automaton.start_state(), stop,
-                                     any_stateful, payload, cursor);
+  const Prepared prep =
+      prepare_scan(automaton.start_state(), chain, payload, cursor);
   static thread_local std::vector<ac::Match> event_scratch;
   event_scratch.clear();
   ac::StateIndex state = prep.state;
@@ -538,16 +517,14 @@ ScanResult Engine::scan_impl(const Automaton& automaton, bool use_kernel,
   }
 
   ScanResult result;
-  finish_scan(active, any_stateful, prep, cursor, state, event_scratch,
-              result);
+  finish_scan(chain, prep, cursor, state, event_scratch, result);
   return result;
 }
 
 void Engine::scan_batch_interleaved(const ac::FullAutomaton& automaton,
-                                    MiddleboxBitmap active,
-                                    const StopSpec& stop, bool any_stateful,
+                                    const ChainInfo& chain,
                                     const std::vector<BytesView>& payloads,
-                                    std::vector<FlowCursor>* cursors,
+                                    const std::vector<FlowCursor>* cursors,
                                     std::vector<ScanResult>& out) const {
   constexpr std::size_t kMaxLanes = ac::HotKernel::kMaxInterleave;
   const std::size_t width =
@@ -563,7 +540,7 @@ void Engine::scan_batch_interleaved(const ac::FullAutomaton& automaton,
     for (std::size_t j = 0; j < group; ++j) {
       const FlowCursor& cursor =
           cursors != nullptr ? (*cursors)[base + j] : no_cursor;
-      preps[j] = prepare_scan(automaton.start_state(), stop, any_stateful,
+      preps[j] = prepare_scan(automaton.start_state(), chain,
                               payloads[base + j], cursor);
       lane_events[j].clear();
       lanes[j] = ac::HotKernel::Lane{preps[j].scanned, preps[j].state, 0,
@@ -584,11 +561,8 @@ void Engine::scan_batch_interleaved(const ac::FullAutomaton& automaton,
       }
       const FlowCursor& cursor =
           cursors != nullptr ? (*cursors)[base + j] : no_cursor;
-      ScanResult result;
-      finish_scan(active, any_stateful, preps[j], cursor, state,
-                  lane_events[j], result);
-      if (cursors != nullptr) (*cursors)[base + j] = result.cursor;
-      out.push_back(std::move(result));
+      finish_scan(chain, preps[j], cursor, state, lane_events[j],
+                  out.emplace_back());
     }
   }
 }
@@ -665,98 +639,52 @@ void Engine::evaluate_regexes(MiddleboxBitmap active,
 }
 
 ScanResult Engine::scan_packet(ChainId chain, BytesView payload,
-                               const FlowCursor& cursor) const {
-  return scan_packet_as(ScanKernel::kAuto, chain, payload, cursor);
-}
-
-ScanResult Engine::scan_packet_as(ScanKernel mode, ChainId chain,
-                                  BytesView payload,
-                                  const FlowCursor& cursor) const {
-  auto members = chain_bitmaps_.find(chain);
-  if (members == chain_bitmaps_.end()) {
-    throw std::invalid_argument("Engine::scan_packet: unknown policy chain");
-  }
-  const MiddleboxBitmap active = members->second;
-  const StopSpec stop = chain_stop_.at(chain);
-  const bool any_stateful = chain_stateful_.at(chain);
+                               const FlowCursor& cursor,
+                               ScanKernel mode) const {
+  const ChainInfo& info = chain_info(chain);
   const bool use_kernel = resolve_kernel(mode);
   return std::visit(
       [&](const auto& automaton) {
-        return scan_impl(automaton, use_kernel, active, stop, any_stateful,
-                         payload, cursor);
+        return scan_impl(automaton, use_kernel, info, payload, cursor);
       },
       automaton_);
 }
 
-std::vector<ScanResult> Engine::scan_batch(ChainId chain,
-                                           const std::vector<BytesView>& payloads,
-                                           std::vector<FlowCursor>* cursors) const {
-  return scan_batch_as(ScanKernel::kAuto, chain, payloads, cursors);
-}
-
-std::vector<ScanResult> Engine::scan_batch_as(
-    ScanKernel mode, ChainId chain, const std::vector<BytesView>& payloads,
-    std::vector<FlowCursor>* cursors) const {
-  auto members = chain_bitmaps_.find(chain);
-  if (members == chain_bitmaps_.end()) {
-    throw std::invalid_argument("Engine::scan_batch: unknown policy chain");
-  }
+std::vector<ScanResult> Engine::scan_batch(
+    ChainId chain, const std::vector<BytesView>& payloads,
+    const std::vector<FlowCursor>* cursors, ScanKernel mode) const {
+  const ChainInfo& info = chain_info(chain);
   if (cursors != nullptr && cursors->size() != payloads.size()) {
     throw std::invalid_argument(
         "Engine::scan_batch: cursors must match payloads one-to-one");
   }
-  const MiddleboxBitmap active = members->second;
-  const StopSpec stop = chain_stop_.at(chain);
-  const bool any_stateful = chain_stateful_.at(chain);
   const bool use_kernel = resolve_kernel(mode);
   std::vector<ScanResult> out;
   out.reserve(payloads.size());
   // One variant visit for the whole batch; the per-packet loop then runs
-  // with the automaton type resolved. With the kernel active the batch runs
-  // interleaved: several packets' hot-table walks advance in lockstep so
-  // their transition loads overlap (results stay byte-identical to the
-  // sequential order — each lane ends exactly as a lone scan would).
+  // with the automaton type resolved. With the kernel active and more than
+  // one packet the batch runs interleaved: several packets' hot-table walks
+  // advance in lockstep so their transition loads overlap (results stay
+  // byte-identical to the sequential order — each lane ends exactly as a
+  // lone scan would). A lone packet keeps the single-lane walk.
   std::visit(
       [&](const auto& automaton) {
         using A = std::decay_t<decltype(automaton)>;
         if constexpr (std::is_same_v<A, ac::FullAutomaton>) {
-          if (use_kernel) {
-            scan_batch_interleaved(automaton, active, stop, any_stateful,
-                                   payloads, cursors, out);
+          if (use_kernel && payloads.size() > 1) {
+            scan_batch_interleaved(automaton, info, payloads, cursors, out);
             return;
           }
         }
+        const FlowCursor no_cursor;
         for (std::size_t i = 0; i < payloads.size(); ++i) {
-          const FlowCursor cursor = cursors ? (*cursors)[i] : FlowCursor{};
-          out.push_back(scan_impl(automaton, use_kernel, active, stop,
-                                  any_stateful, payloads[i], cursor));
-          if (cursors) (*cursors)[i] = out.back().cursor;
+          out.push_back(scan_impl(automaton, use_kernel, info, payloads[i],
+                                  cursors != nullptr ? (*cursors)[i]
+                                                     : no_cursor));
         }
       },
       automaton_);
   return out;
-}
-
-ScanResult Engine::scan_packet_for(MiddleboxBitmap active, BytesView payload,
-                                   const FlowCursor& cursor) const {
-  StopSpec stop;
-  bool any_stateful = false;
-  for (const auto& p : profiles_) {
-    if (bitmap_of(p.id) & active) {
-      if (p.stateful) {
-        stop.stateful = std::max(stop.stateful, p.stop_offset);
-      } else {
-        stop.stateless = std::max(stop.stateless, p.stop_offset);
-      }
-      any_stateful |= p.stateful;
-    }
-  }
-  return std::visit(
-      [&](const auto& automaton) {
-        return scan_impl(automaton, use_kernel_, active, stop, any_stateful,
-                         payload, cursor);
-      },
-      automaton_);
 }
 
 }  // namespace dpisvc::dpi

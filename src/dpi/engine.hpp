@@ -201,41 +201,48 @@ class Engine {
   /// `chain` selects the active middlebox set. `cursor` carries stateful
   /// flow state: pass the stored cursor for this flow (or a default-
   /// constructed one for a new flow); the updated cursor is returned in the
-  /// result. Stateless-only chains ignore it.
+  /// result. Stateless-only chains ignore it. `mode` overrides the kernel
+  /// dispatch resolved at compile(): the kernel cross-check (src/verify,
+  /// dpisvc_check --kernel-xcheck) drives the scalar oracle and the batched
+  /// kernel over one compiled engine with it; production callers keep kAuto.
   ScanResult scan_packet(ChainId chain, BytesView payload,
-                         const FlowCursor& cursor = {}) const;
+                         const FlowCursor& cursor = {},
+                         ScanKernel mode = ScanKernel::kAuto) const;
 
   /// Batched ingest (§6 scaling): scans a vector of independent packets of
-  /// one chain with a single chain resolution and automaton dispatch,
-  /// instead of one map lookup + variant visit per packet. When `cursors`
-  /// is non-null it must have one entry per payload; each entry supplies
-  /// that packet's resume state and receives the updated cursor. Packets of
-  /// the same flow must not appear twice in one batch with caller-managed
-  /// cursors (each would resume from the same stored state) — the sharded
-  /// instance path feeds per-flow sequential batches instead.
-  std::vector<ScanResult> scan_batch(ChainId chain,
-                                     const std::vector<BytesView>& payloads,
-                                     std::vector<FlowCursor>* cursors =
-                                         nullptr) const;
+  /// one chain with a single chain resolution and automaton dispatch. When
+  /// `cursors` is non-null it must have one entry per payload, each that
+  /// packet's resume state; the updated cursors come back in the results.
+  /// Packets of the same flow must not appear twice in one batch (each
+  /// would resume from the same stored state) — the sharded instance path
+  /// feeds per-flow sequential runs instead. With the kernel active, two or
+  /// more packets walk flow-interleaved (kernel lanes advance in lockstep so
+  /// their transition loads overlap); a batch of one takes scan_packet's
+  /// single-lane walk. Results are byte-identical to scan_packet in order.
+  std::vector<ScanResult> scan_batch(
+      ChainId chain, const std::vector<BytesView>& payloads,
+      const std::vector<FlowCursor>* cursors = nullptr,
+      ScanKernel mode = ScanKernel::kAuto) const;
 
-  /// Scan against an explicit set of active middleboxes instead of a chain.
-  ScanResult scan_packet_for(MiddleboxBitmap active, BytesView payload,
-                             const FlowCursor& cursor = {}) const;
+  /// Per-chain scan-depth bounds, split by statefulness because the two
+  /// kinds consume depth differently (see MiddleboxProfile::stop_offset):
+  /// stateless depths are packet-relative and renew every packet, stateful
+  /// depths are flow-relative and shrink as the flow offset advances. The
+  /// scan clamp must feed every byte either kind could still report.
+  struct StopSpec {
+    std::uint32_t stateless = 0;  ///< max stop over stateless members
+    std::uint32_t stateful = 0;   ///< max stop over stateful members
+  };
 
-  /// scan_packet with an explicit kernel-dispatch override. The kernel
-  /// cross-check (src/verify, dpisvc_check --kernel-xcheck) drives both the
-  /// scalar oracle and the batched kernel over one compiled engine with
-  /// this; production callers use scan_packet(), which applies the choice
-  /// resolved at compile().
-  ScanResult scan_packet_as(ScanKernel mode, ChainId chain, BytesView payload,
-                            const FlowCursor& cursor = {}) const;
-
-  /// scan_batch with an explicit kernel-dispatch override (kBatched takes
-  /// the flow-interleaved lane path, kScalar the per-packet scalar loop).
-  std::vector<ScanResult> scan_batch_as(ScanKernel mode, ChainId chain,
-                                        const std::vector<BytesView>& payloads,
-                                        std::vector<FlowCursor>* cursors =
-                                            nullptr) const;
+  /// One policy chain (§5.2), resolved at compile() so a scan or run looks
+  /// its chain up once.
+  struct ChainInfo {
+    std::vector<MiddleboxId> members;
+    MiddleboxBitmap active = 0;  ///< bitmap of `members`
+    StopSpec stop;
+    bool stateful = false;   ///< some member is stateful
+    bool read_only = false;  ///< non-empty and every member read-only (§4.2)
+  };
 
   // --- introspection -------------------------------------------------------
 
@@ -245,17 +252,21 @@ class Engine {
   const MiddleboxProfile* find_middlebox(MiddleboxId id) const noexcept;
 
   bool chain_known(ChainId chain) const noexcept {
-    return chain_members_.count(chain) != 0;
+    return chains_.count(chain) != 0;
   }
-  MiddleboxBitmap chain_bitmap(ChainId chain) const;
+  /// The compiled chain record; throws std::invalid_argument when unknown.
+  const ChainInfo& chain_info(ChainId id) const;
+  MiddleboxBitmap chain_bitmap(ChainId id) const {
+    return chain_info(id).active;
+  }
 
   /// True if any middlebox on the chain registered as stateful (the scan
   /// must then carry flow state across packets).
-  bool chain_stateful(ChainId chain) const;
+  bool chain_stateful(ChainId id) const { return chain_info(id).stateful; }
 
   /// True if every middlebox on the chain is read-only (§4.2: the packet
   /// itself need not be routed; results alone suffice).
-  bool chain_read_only(ChainId chain) const;
+  bool chain_read_only(ChainId id) const { return chain_info(id).read_only; }
 
   /// True when scan_packet()/scan_batch() run the batched kernel (full-table
   /// automaton, hot layout built, dispatch resolved in its favor).
@@ -297,9 +308,8 @@ class Engine {
   const std::vector<MatchTarget>& accept_targets(ac::StateIndex accept) const {
     return accept_targets_[accept];
   }
-  const std::map<ChainId, std::vector<MiddleboxId>>& chain_table()
-      const noexcept {
-    return chain_members_;
+  const std::map<ChainId, ChainInfo>& chain_table() const noexcept {
+    return chains_;
   }
 
   /// Raw automaton traversal with no match collection; the throughput
@@ -320,16 +330,6 @@ class Engine {
     std::vector<std::uint32_t> anchor_bits;
   };
 
-  /// Per-chain scan-depth bounds, split by statefulness because the two
-  /// kinds consume depth differently (see MiddleboxProfile::stop_offset):
-  /// stateless depths are packet-relative and renew every packet, stateful
-  /// depths are flow-relative and shrink as the flow offset advances. The
-  /// scan clamp must feed every byte either kind could still report.
-  struct StopSpec {
-    std::uint32_t stateless = 0;  ///< max stop over stateless members
-    std::uint32_t stateful = 0;   ///< max stop over stateful members
-  };
-
   /// The scanned slice and resume point of one packet, computed before the
   /// automaton walk (shared by the scalar, kernel, and interleaved paths).
   struct Prepared {
@@ -338,14 +338,12 @@ class Engine {
     ac::StateIndex state = 0;
     bool resume = false;
   };
-  Prepared prepare_scan(ac::StateIndex start_state, const StopSpec& stop,
-                        bool any_stateful, BytesView payload,
-                        const FlowCursor& cursor) const;
+  Prepared prepare_scan(ac::StateIndex start_state, const ChainInfo& chain,
+                        BytesView payload, const FlowCursor& cursor) const;
 
   template <typename Automaton>
   ScanResult scan_impl(const Automaton& automaton, bool use_kernel,
-                       MiddleboxBitmap active, const StopSpec& stop,
-                       bool any_stateful, BytesView payload,
+                       const ChainInfo& chain, BytesView payload,
                        const FlowCursor& cursor) const;
 
   /// Flow-interleaved batch walk over the full-table automaton: packets are
@@ -353,10 +351,9 @@ class Engine {
   /// their transition loads overlap, then finished per packet in submission
   /// order — results are byte-identical to the sequential path.
   void scan_batch_interleaved(const ac::FullAutomaton& automaton,
-                              MiddleboxBitmap active, const StopSpec& stop,
-                              bool any_stateful,
+                              const ChainInfo& chain,
                               const std::vector<BytesView>& payloads,
-                              std::vector<FlowCursor>* cursors,
+                              const std::vector<FlowCursor>* cursors,
                               std::vector<ScanResult>& out) const;
 
   /// Per-scan middlebox -> result-section index: section lookups stay O(1)
@@ -369,9 +366,8 @@ class Engine {
   /// evaluation, and section emission. Pure function of the walk's match
   /// events and final state, so the scalar loop and the batched kernel
   /// share it verbatim — the cross-check only has to prove the walks equal.
-  void finish_scan(MiddleboxBitmap active, bool any_stateful,
-                   const Prepared& prep, const FlowCursor& cursor,
-                   ac::StateIndex final_state,
+  void finish_scan(const ChainInfo& chain, const Prepared& prep,
+                   const FlowCursor& cursor, ac::StateIndex final_state,
                    const std::vector<ac::Match>& events,
                    ScanResult& result) const;
 
@@ -408,17 +404,14 @@ class Engine {
   /// Profile fields denormalized by middlebox id for the per-match hot path.
   std::array<bool, kMaxMiddleboxes + 1> mbox_stateful_{};
   std::array<std::uint32_t, kMaxMiddleboxes + 1> mbox_stop_{};
-  std::map<ChainId, std::vector<MiddleboxId>> chain_members_;
-  std::map<ChainId, MiddleboxBitmap> chain_bitmaps_;
-  std::map<ChainId, StopSpec> chain_stop_;
-  std::map<ChainId, bool> chain_stateful_;
+  std::map<ChainId, ChainInfo> chains_;
 
   std::variant<ac::FullAutomaton, ac::CompressedAutomaton> automaton_;
   /// Cache-conscious hot-core layout over the full-table automaton (empty
   /// when compressed, or when compile() resolved dispatch to scalar).
   ac::HotKernel kernel_;
   /// Compile-time-resolved dispatch: scan_packet()/scan_batch() use the
-  /// kernel. The scalar loop stays reachable via scan_packet_as().
+  /// kernel under kAuto. The scalar loop stays reachable via kScalar.
   bool use_kernel_ = false;
   /// Per accepting state: interested-middlebox bitmap (anchor targets
   /// contribute their owning middlebox too).

@@ -20,12 +20,9 @@ struct IngestBatch {
   std::vector<ScanItem> items;
   std::vector<std::uint64_t> refs;
   std::vector<dpi::ScanResult> results;
-  // Counting-sort partition: order[offsets[s] .. offsets[s+1]) lists shard
-  // s's item indices in submission order.
-  std::vector<std::uint32_t> shard_of;
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> cursor;
+  /// Per-batch rather than thread-local: the shard jobs read it after
+  /// flush() returns.
+  ShardPartition partition;
   /// Outstanding shard jobs; the producer observes completion via
   /// all_done()'s acquire load of 0, pairing with each job's release
   /// decrement, which makes every result write visible before delivery.
@@ -49,11 +46,11 @@ namespace {
 /// then publish completion.
 void batch_scan_job(void* ctx, std::size_t shard) {
   auto* batch = static_cast<IngestBatch*>(ctx);
-  const std::uint32_t begin = batch->offsets[shard];
-  const std::uint32_t end = batch->offsets[shard + 1];
-  batch->instance->scan_bucket(shard, batch->items,
-                               batch->order.data() + begin, end - begin,
-                               batch->results);
+  const ShardPartition& part = batch->partition;
+  const std::uint32_t begin = part.offsets[shard];
+  const std::uint32_t end = part.offsets[shard + 1];
+  batch->instance->scan_bucket(shard, batch->items, part.order.data() + begin,
+                               end - begin, batch->results);
   batch->pending.complete_one();
 }
 
@@ -228,32 +225,20 @@ void IngestPipeline::flush_impl() {
   if (current_ == nullptr || current_->items.empty()) return;
   std::shared_ptr<IngestBatch> batch = std::move(current_);
 
-  // Stable counting sort by shard — identical to the synchronous
-  // scan_batch() partition, so per-flow submission order survives.
+  // The same stable partition as the synchronous scan_batch(), so
+  // per-flow submission order survives.
   const std::size_t n = batch->items.size();
   const std::size_t num_shards = instance_.num_shards();
-  batch->shard_of.resize(n);
-  batch->offsets.assign(num_shards + 1, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto s =
-        static_cast<std::uint32_t>(instance_.shard_of_flow(batch->items[i].flow));
-    batch->shard_of[i] = s;
-    ++batch->offsets[s + 1];
-  }
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    batch->offsets[s + 1] += batch->offsets[s];
-  }
-  batch->cursor.assign(batch->offsets.begin(), batch->offsets.end() - 1);
-  batch->order.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    batch->order[batch->cursor[batch->shard_of[i]]++] = i;
-  }
+  ShardPartition& part = batch->partition;
+  part.build(n, num_shards, [&](std::size_t i) {
+    return instance_.shard_of_flow(batch->items[i].flow);
+  });
 
   batch->results.clear();
   batch->results.resize(n);
   std::uint32_t jobs = 0;
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (batch->offsets[s + 1] > batch->offsets[s]) ++jobs;
+    if (part.offsets[s + 1] > part.offsets[s]) ++jobs;
   }
   // Armed before any submit; the pool's hand-off orders it for the workers.
   batch->pending.arm(jobs);
@@ -270,7 +255,7 @@ void IngestPipeline::flush_impl() {
     obs.batches_in_flight->set(static_cast<std::int64_t>(inflight_.size()));
   }
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (batch->offsets[s + 1] == batch->offsets[s]) continue;
+    if (part.offsets[s + 1] == part.offsets[s]) continue;
     // Blocking on a full ring here is deliberate: shedding happens at batch
     // admission only, so every submitted batch runs to completion.
     instance_.scan_pool().submit_blocking(s, &batch_scan_job, batch.get(), s);

@@ -10,6 +10,13 @@
 
 namespace dpisvc::service {
 
+namespace {
+
+/// Longest same-chain run scan_bucket forms: one Engine::scan_batch call.
+constexpr std::size_t kMaxRun = 32;
+
+}  // namespace
+
 ScanPool::Instruments DpiInstance::make_pool_instruments(
     obs::MetricsRegistry& metrics, const InstanceConfig& config) {
   if (!config.metrics) return ScanPool::Instruments();
@@ -71,6 +78,8 @@ DpiInstance::DpiInstance(std::string name, InstanceConfig config)
       ShardInstruments& o = shard->obs;
       o.scan_ns =
           &metrics_.histogram(p + "scan_ns", obs::Histogram::latency_bounds_ns());
+      o.scan_run_packets = &metrics_.histogram(
+          p + "scan_run_packets", obs::Histogram::linear_bounds(1, kMaxRun));
       o.packets = &metrics_.counter(p + "packets");
       o.bytes = &metrics_.counter(p + "bytes");
       o.raw_hits = &metrics_.counter(p + "raw_hits");
@@ -365,7 +374,7 @@ dpi::ScanResult DpiInstance::scan(dpi::ChainId chain,
                   payload.size(), shard.index, chain);
   }
   const MutexLock lock(shard.mu);
-  return scan_on_shard(shard, chain, flow, payload);
+  return scan_one(shard, ScanItem{chain, flow, payload});
 }
 
 namespace {
@@ -390,66 +399,26 @@ struct BatchProcessCtx {
   const std::uint32_t* offsets;
 };
 
-/// Reusable counting-sort scratch. thread_local so concurrent batch callers
-/// never share buffers; the vectors keep their capacity across batches, so
-/// steady-state partitioning allocates nothing.
-struct PartitionScratch {
-  std::vector<std::uint32_t> shard_of;
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> cursor;
-};
-
-PartitionScratch& partition_scratch() {
-  thread_local PartitionScratch scratch;
+/// Reusable partition scratch. thread_local so concurrent batch callers
+/// never share buffers.
+ShardPartition& partition_scratch() {
+  thread_local ShardPartition scratch;
   return scratch;
-}
-
-/// Stable counting sort of [0, n) by shard: after the call,
-/// scratch.order[scratch.offsets[s] .. scratch.offsets[s+1]) lists shard
-/// s's item indices in submission order. Stability is what preserves
-/// per-flow packet order through the partition.
-template <typename ShardOf>
-void partition_by_shard(std::size_t n, std::size_t num_shards,
-                        ShardOf&& shard_of_fn, PartitionScratch& scratch) {
-  scratch.shard_of.resize(n);
-  scratch.offsets.assign(num_shards + 1, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto s = static_cast<std::uint32_t>(shard_of_fn(i));
-    scratch.shard_of[i] = s;
-    ++scratch.offsets[s + 1];
-  }
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    scratch.offsets[s + 1] += scratch.offsets[s];
-  }
-  scratch.cursor.assign(scratch.offsets.begin(), scratch.offsets.end() - 1);
-  scratch.order.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    scratch.order[scratch.cursor[scratch.shard_of[i]]++] = i;
-  }
 }
 
 }  // namespace
 
 std::vector<dpi::ScanResult> DpiInstance::scan_batch(
     const std::vector<ScanItem>& items) {
-  std::vector<dpi::ScanResult> out;
-  scan_batch_into(items, out);
-  return out;
-}
-
-void DpiInstance::scan_batch_into(const std::vector<ScanItem>& items,
-                                  std::vector<dpi::ScanResult>& out) {
-  out.clear();
-  out.resize(items.size());
-  if (items.empty()) return;
-  PartitionScratch& scratch = partition_scratch();
-  partition_by_shard(
-      items.size(), shards_.size(),
-      [&](std::size_t i) { return shard_index(items[i].flow); }, scratch);
-  BatchScanCtx ctx{this, &items, &out, scratch.order.data(),
-                   scratch.offsets.data()};
+  std::vector<dpi::ScanResult> out(items.size());
+  if (items.empty()) return out;
+  ShardPartition& part = partition_scratch();
+  part.build(items.size(), shards_.size(),
+             [&](std::size_t i) { return shard_index(items[i].flow); });
+  BatchScanCtx ctx{this, &items, &out, part.order.data(),
+                   part.offsets.data()};
   pool_.dispatch(&DpiInstance::scan_batch_job, &ctx, shards_.size());
+  return out;
 }
 
 void DpiInstance::scan_batch_job(void* ctx, std::size_t shard) {
@@ -467,33 +436,17 @@ void DpiInstance::scan_bucket(std::size_t shard_idx,
                               std::vector<dpi::ScanResult>& out) {
   Shard& shard = *shards_[shard_idx];
   const MutexLock lock(shard.mu);
-  const bool batched = shard.engine != nullptr && shard.engine->kernel_active();
   std::size_t pos = 0;
   while (pos < count) {
-    if (trace_.enabled()) {
-      const std::size_t i = indices[pos];
-      trace_.record(obs::TraceEvent::kShardDispatch,
-                    items[i].flow.canonical().hash(), 0,
-                    items[i].payload.size(), shard.index, items[i].chain);
-    }
-    if (!batched) {
-      const std::size_t i = indices[pos];
-      // Distinct indices per bucket: writes to `out` never alias.
-      out[i] = scan_on_shard(shard, items[i].chain, items[i].flow,
-                             items[i].payload);
-      ++pos;
-      continue;
-    }
-    // Form a same-chain run for the interleaved kernel. A stateful run
-    // additionally (a) breaks before a flow it already contains — each
-    // run cursor must see the previous packet's update — and (b) only
-    // forms while no LRU eviction is possible (run cursors are looked
-    // up before any update; with every run flow distinct and room for
-    // all inserts, the flow table ends in the same state as the
-    // sequential order, so results stay identical).
+    // Form a same-chain run. A stateful run additionally (a) breaks before
+    // a flow it already contains — each run cursor must see the previous
+    // packet's update — and (b) only forms while no LRU eviction is
+    // possible (run cursors are looked up before any update; with every
+    // run flow distinct and room for all inserts, the flow table ends in
+    // the same state as the sequential order, so results stay identical).
     const dpi::ChainId chain = items[indices[pos]].chain;
-    const bool stateful = shard.engine->chain_stateful(chain);
-    constexpr std::size_t kMaxRun = 32;
+    const bool stateful =
+        shard.engine != nullptr && shard.engine->chain_stateful(chain);
     std::size_t end = pos + 1;
     if (!stateful || shard.flows.size() + kMaxRun <= shard.flows.capacity()) {
       while (end < count && end - pos < kMaxRun &&
@@ -506,22 +459,20 @@ void DpiInstance::scan_bucket(std::size_t shard_idx,
           }
           if (repeat) break;
         }
-        if (trace_.enabled()) {
-          const std::size_t i = indices[end];
-          trace_.record(obs::TraceEvent::kShardDispatch,
-                        items[i].flow.canonical().hash(), 0,
-                        items[i].payload.size(), shard.index, items[i].chain);
-        }
         ++end;
       }
     }
-    if (end - pos == 1) {
-      const std::size_t i = indices[pos];
-      out[i] = scan_on_shard(shard, items[i].chain, items[i].flow,
-                             items[i].payload);
-    } else {
-      scan_run_on_shard(shard, chain, items, indices + pos, end - pos, out);
+    if (trace_.enabled()) {
+      for (std::size_t k = pos; k < end; ++k) {
+        const ScanItem& item = items[indices[k]];
+        trace_.record(obs::TraceEvent::kShardDispatch,
+                      item.flow.canonical().hash(), 0, item.payload.size(),
+                      shard.index, item.chain);
+      }
     }
+    // Distinct indices per bucket: writes to `out` never alias.
+    scan_run_on_shard(shard, items.data(), indices + pos, end - pos,
+                      out.data());
     pos = end;
   }
 }
@@ -530,12 +481,11 @@ std::vector<ProcessOutput> DpiInstance::process_batch(
     std::vector<net::Packet> packets) {
   std::vector<ProcessOutput> out(packets.size());
   if (packets.empty()) return out;
-  PartitionScratch& scratch = partition_scratch();
-  partition_by_shard(
-      packets.size(), shards_.size(),
-      [&](std::size_t i) { return shard_index(packets[i].tuple); }, scratch);
-  BatchProcessCtx ctx{this, &packets, &out, scratch.order.data(),
-                      scratch.offsets.data()};
+  ShardPartition& part = partition_scratch();
+  part.build(packets.size(), shards_.size(),
+             [&](std::size_t i) { return shard_index(packets[i].tuple); });
+  BatchProcessCtx ctx{this, &packets, &out, part.order.data(),
+                      part.offsets.data()};
   pool_.dispatch(&DpiInstance::process_batch_job, &ctx, shards_.size());
   return out;
 }
@@ -555,151 +505,77 @@ void DpiInstance::process_batch_job(void* ctx, std::size_t shard) {
   }
 }
 
-dpi::ScanResult DpiInstance::scan_on_shard(Shard& shard, dpi::ChainId chain,
-                                           const net::FiveTuple& flow,
-                                           BytesView payload) {
-  if (shard.engine == nullptr) {
-    throw std::logic_error("DpiInstance::scan: no engine loaded");
-  }
-  Stopwatch watch;
-  dpi::FlowCursor cursor;
-  const bool stateful = shard.engine->chain_stateful(chain);
-  if (stateful) {
-    cursor = shard.flows.lookup(flow);
-  }
-  dpi::ScanResult result = shard.engine->scan_packet(chain, payload, cursor);
-  if (stateful) {
-    DPISVC_ASSERT_INVARIANT(
-        result.cursor.valid &&
-            result.cursor.dfa_state < shard.engine->num_automaton_states(),
-        "stateful scan must leave the cursor on a state of this engine");
-    if (shard.flows.update(flow, result.cursor)) {
-      // A live cursor was LRU-evicted: the victim flow resumes from the DFA
-      // root, so a pattern straddling this point is missed. Count it so the
-      // capacity shortfall is observable (§4.3.1 telemetry).
-      ++shard.telemetry.flow_evictions;
-      if (shard.obs.flow_evictions != nullptr) {
-        shard.obs.flow_evictions->add(1);
-      }
-      log(LogLevel::kDebug, name_,
-          "flow table full: evicted live stateful cursor (evictions=",
-          shard.telemetry.flow_evictions, ")");
-    }
-  }
-  // One clock read serves both the busy-seconds counter and the latency
-  // histogram — the obs layer adds no clock overhead to the scan path.
-  const std::uint64_t scan_ns = watch.elapsed_ns();
-  shard.telemetry.busy_seconds += static_cast<double>(scan_ns) * 1e-9;
-  ++shard.telemetry.packets;
-  shard.telemetry.bytes += payload.size();
-  shard.telemetry.raw_hits += result.raw_hits;
-  ChainTelemetry& per_chain = shard.chain_telemetry[chain];
-  ++per_chain.packets;
-  per_chain.bytes += payload.size();
-  per_chain.raw_hits += result.raw_hits;
-  if (result.has_matches()) {
-    ++shard.telemetry.match_packets;
-  }
-  const ShardInstruments& ins = shard.obs;
-  if (ins.packets != nullptr) {
-    ins.scan_ns->record(scan_ns);
-    ins.packets->add(1);
-    ins.bytes->add(payload.size());
-    ins.raw_hits->add(result.raw_hits);
-    ins.anchor_hits->add(result.anchor_hits_seen);
-    ins.regex_evals->add(result.regexes_evaluated);
-    ins.regex_matches->add(result.regex_matches);
-    if (stateful) {
-      ins.flow_occupancy->set(static_cast<std::int64_t>(shard.flows.size()));
-    }
-  }
-  if (trace_.enabled()) {
-    const std::uint64_t fh = flow.canonical().hash();
-    const std::uint64_t flow_offset =
-        result.cursor.valid ? result.cursor.offset : result.bytes_scanned;
-    trace_.record(obs::TraceEvent::kDfaScan, fh, flow_offset,
-                  result.bytes_scanned, shard.index, chain);
-    if (result.regexes_evaluated > 0) {
-      trace_.record(obs::TraceEvent::kRegexEval, fh, flow_offset,
-                    result.regexes_evaluated, shard.index, chain);
-    }
-    std::uint64_t entries = 0;
-    for (const auto& m : result.matches) entries += m.entries.size();
-    trace_.record(obs::TraceEvent::kVerdict, fh, flow_offset, entries,
-                  shard.index, chain);
-  }
+dpi::ScanResult DpiInstance::scan_one(Shard& shard, const ScanItem& item) {
+  static constexpr std::uint32_t kOnly = 0;
+  dpi::ScanResult result;
+  scan_run_on_shard(shard, &item, &kOnly, 1, &result);
   return result;
 }
 
-void DpiInstance::scan_run_on_shard(Shard& shard, dpi::ChainId chain,
-                                    const std::vector<ScanItem>& items,
+void DpiInstance::scan_run_on_shard(Shard& shard, const ScanItem* items,
                                     const std::uint32_t* indices,
-                                    std::size_t count,
-                                    std::vector<dpi::ScanResult>& out) {
+                                    std::size_t count, dpi::ScanResult* out) {
   if (shard.engine == nullptr) {
     throw std::logic_error("DpiInstance::scan: no engine loaded");
   }
   Stopwatch watch;
-  const bool stateful = shard.engine->chain_stateful(chain);
-  // The caller guarantees distinct flows per stateful run, so the cursors
-  // never alias and each lookup precedes its flow's sole update.
-  std::vector<BytesView> payloads;
-  payloads.reserve(count);
-  std::vector<dpi::FlowCursor> cursors;
-  if (stateful) cursors.reserve(count);
+  const dpi::Engine& engine = *shard.engine;
+  const dpi::ChainId chain = items[indices[0]].chain;
+  const bool stateful = engine.chain_stateful(chain);
+  // Thread-local scratch: steady-state runs allocate no payload or cursor
+  // vectors. The caller guarantees distinct flows per stateful run, so
+  // each lookup precedes its flow's sole update.
+  thread_local std::vector<BytesView> payloads;
+  thread_local std::vector<dpi::FlowCursor> cursors;
+  payloads.clear();
+  cursors.clear();
   for (std::size_t k = 0; k < count; ++k) {
     const ScanItem& item = items[indices[k]];
     payloads.push_back(item.payload);
-    if (stateful) cursors.push_back(shard.flows.lookup(item.flow));
+    cursors.push_back(stateful ? shard.flows.lookup(item.flow)
+                               : dpi::FlowCursor{});
   }
-
-  std::vector<dpi::ScanResult> results =
-      shard.engine->scan_batch(chain, payloads, stateful ? &cursors : nullptr);
-
-  // One clock read for the whole run; each packet is attributed its share —
-  // the interleave makes per-packet walk time unmeasurable in isolation.
+  if (count == 1) {
+    out[indices[0]] = engine.scan_packet(chain, payloads[0], cursors[0]);
+  } else {
+    std::vector<dpi::ScanResult> results =
+        engine.scan_batch(chain, payloads, &cursors);
+    for (std::size_t k = 0; k < count; ++k) {
+      out[indices[k]] = std::move(results[k]);
+    }
+  }
+  std::uint64_t evictions = 0;
+  if (stateful) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const dpi::FlowCursor& cursor = out[indices[k]].cursor;
+      DPISVC_ASSERT_INVARIANT(
+          cursor.valid && cursor.dfa_state < engine.num_automaton_states(),
+          "stateful scan must leave the cursor on a state of this engine");
+      // An update that LRU-evicts a live cursor makes the victim flow
+      // resume from the DFA root, so a pattern straddling that point is
+      // missed. Counted so the capacity shortfall is observable (§4.3.1).
+      if (shard.flows.update(items[indices[k]].flow, cursor)) ++evictions;
+    }
+  }
+  // One clock read per run serves both the busy-seconds counter and the
+  // latency histogram; a run of one measures exactly its packet.
   const std::uint64_t run_ns = watch.elapsed_ns();
-  const std::uint64_t per_packet_ns = run_ns / count;
-  shard.telemetry.busy_seconds += static_cast<double>(run_ns) * 1e-9;
-  ChainTelemetry& per_chain = shard.chain_telemetry[chain];
-  const ShardInstruments& ins = shard.obs;
 
+  std::uint64_t bytes = 0;
+  std::uint64_t raw_hits = 0;
+  std::uint64_t match_packets = 0;
+  std::uint64_t anchor_hits = 0;
+  std::uint64_t regex_evals = 0;
+  std::uint64_t regex_matches = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const ScanItem& item = items[indices[k]];
-    dpi::ScanResult& result = results[k];
-    if (stateful) {
-      DPISVC_ASSERT_INVARIANT(
-          result.cursor.valid &&
-              result.cursor.dfa_state < shard.engine->num_automaton_states(),
-          "stateful scan must leave the cursor on a state of this engine");
-      if (shard.flows.update(item.flow, result.cursor)) {
-        ++shard.telemetry.flow_evictions;
-        if (shard.obs.flow_evictions != nullptr) {
-          shard.obs.flow_evictions->add(1);
-        }
-        log(LogLevel::kDebug, name_,
-            "flow table full: evicted live stateful cursor (evictions=",
-            shard.telemetry.flow_evictions, ")");
-      }
-    }
-    ++shard.telemetry.packets;
-    shard.telemetry.bytes += item.payload.size();
-    shard.telemetry.raw_hits += result.raw_hits;
-    ++per_chain.packets;
-    per_chain.bytes += item.payload.size();
-    per_chain.raw_hits += result.raw_hits;
-    if (result.has_matches()) {
-      ++shard.telemetry.match_packets;
-    }
-    if (ins.packets != nullptr) {
-      ins.scan_ns->record(per_packet_ns);
-      ins.packets->add(1);
-      ins.bytes->add(item.payload.size());
-      ins.raw_hits->add(result.raw_hits);
-      ins.anchor_hits->add(result.anchor_hits_seen);
-      ins.regex_evals->add(result.regexes_evaluated);
-      ins.regex_matches->add(result.regex_matches);
-    }
+    const dpi::ScanResult& result = out[indices[k]];
+    bytes += item.payload.size();
+    raw_hits += result.raw_hits;
+    match_packets += result.has_matches() ? 1 : 0;
+    anchor_hits += result.anchor_hits_seen;
+    regex_evals += result.regexes_evaluated;
+    regex_matches += result.regex_matches;
     if (trace_.enabled()) {
       const std::uint64_t fh = item.flow.canonical().hash();
       const std::uint64_t flow_offset =
@@ -715,10 +591,37 @@ void DpiInstance::scan_run_on_shard(Shard& shard, dpi::ChainId chain,
       trace_.record(obs::TraceEvent::kVerdict, fh, flow_offset, entries,
                     shard.index, chain);
     }
-    out[indices[k]] = std::move(result);
   }
-  if (stateful && ins.packets != nullptr) {
-    ins.flow_occupancy->set(static_cast<std::int64_t>(shard.flows.size()));
+  InstanceTelemetry& t = shard.telemetry;
+  t.busy_seconds += static_cast<double>(run_ns) * 1e-9;
+  t.packets += count;
+  t.bytes += bytes;
+  t.raw_hits += raw_hits;
+  t.match_packets += match_packets;
+  t.flow_evictions += evictions;
+  ChainTelemetry& per_chain = shard.chain_telemetry[chain];
+  per_chain.packets += count;
+  per_chain.bytes += bytes;
+  per_chain.raw_hits += raw_hits;
+  const ShardInstruments& ins = shard.obs;
+  if (ins.packets != nullptr) {
+    ins.scan_ns->record(run_ns);
+    ins.scan_run_packets->record(count);
+    ins.packets->add(count);
+    ins.bytes->add(bytes);
+    ins.raw_hits->add(raw_hits);
+    ins.anchor_hits->add(anchor_hits);
+    ins.regex_evals->add(regex_evals);
+    ins.regex_matches->add(regex_matches);
+    if (evictions != 0) ins.flow_evictions->add(evictions);
+    if (stateful) {
+      ins.flow_occupancy->set(static_cast<std::int64_t>(shard.flows.size()));
+    }
+  }
+  if (evictions != 0) {
+    log(LogLevel::kDebug, name_,
+        "flow table full: evicted live stateful cursor (evictions=",
+        t.flow_evictions, ")");
   }
 }
 
@@ -863,7 +766,7 @@ ProcessOutput DpiInstance::process_on_shard(Shard& shard, net::Packet packet) {
     scan_bytes = *inflated;
   }
   const dpi::ScanResult scanned =
-      scan_on_shard(shard, chain, packet.tuple, scan_bytes);
+      scan_one(shard, ScanItem{chain, packet.tuple, scan_bytes});
 
   const bool result_only = config_.result_mode == ResultMode::kResultOnly &&
                            shard.engine->chain_read_only(chain);

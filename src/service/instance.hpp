@@ -20,7 +20,7 @@
 // Data-plane concurrency (§6 scaling): the instance is sharded. Each shard
 // owns a mutex, an engine snapshot (std::shared_ptr<const dpi::Engine>), a
 // FlowTable, a TCP reassembler, and telemetry counters. A packet's shard is
-// FiveTuple::canonical() hash % num_workers, so both directions of a flow —
+// the mixed canonical-tuple hash % num_workers, so both directions of a flow —
 // and therefore its stateful cursor — belong to exactly one shard and no
 // cross-shard FlowTable locking ever happens. scan_batch() / process_batch()
 // partition a packet vector by shard and dispatch one job per shard to the
@@ -203,6 +203,33 @@ struct IngestInstruments {
   obs::Gauge* batches_in_flight = nullptr; ///< batches not yet delivered
 };
 
+/// Stable counting sort of a batch by shard: after build(),
+/// order[offsets[s] .. offsets[s+1]) lists shard s's item indices in
+/// submission order. Stability is what preserves per-flow packet order
+/// through the partition. The vectors keep their capacity across builds,
+/// so steady-state partitioning allocates nothing.
+struct ShardPartition {
+  std::vector<std::uint32_t> shard_of;
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> cursor;
+
+  template <typename ShardOf>
+  void build(std::size_t n, std::size_t num_shards, ShardOf&& shard_of_fn) {
+    shard_of.resize(n);
+    offsets.assign(num_shards + 1, 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto s = static_cast<std::uint32_t>(shard_of_fn(i));
+      shard_of[i] = s;
+      ++offsets[s + 1];
+    }
+    for (std::size_t s = 0; s < num_shards; ++s) offsets[s + 1] += offsets[s];
+    cursor.assign(offsets.begin(), offsets.end() - 1);
+    order.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) order[cursor[shard_of[i]]++] = i;
+  }
+};
+
 class DpiInstance {
  public:
   explicit DpiInstance(std::string name, InstanceConfig config = {});
@@ -254,23 +281,18 @@ class DpiInstance {
   /// identical for every worker count.
   std::vector<dpi::ScanResult> scan_batch(const std::vector<ScanItem>& items);
 
-  /// In-place variant of scan_batch() writing into `out` (resized to
-  /// items.size()); the ingest pipeline reuses a per-batch results vector
-  /// so steady-state batches allocate nothing.
-  void scan_batch_into(const std::vector<ScanItem>& items,
-                       std::vector<dpi::ScanResult>& out);
-
   /// Scans `count` items selected by `indices` — all of which must belong
   /// to shard `shard` — under that shard's lock, writing each result to
-  /// out[indices[k]]. The asynchronous ingest path calls this from
-  /// per-shard pool jobs; scan_batch_into() is the synchronous wrapper.
+  /// out[indices[k]]. Consecutive same-chain items form runs (see
+  /// scan_run_on_shard). scan_batch() and the asynchronous ingest path call
+  /// this from per-shard pool jobs.
   void scan_bucket(std::size_t shard, const std::vector<ScanItem>& items,
                    const std::uint32_t* indices, std::size_t count,
                    std::vector<dpi::ScanResult>& out);
 
-  /// Shard owning `flow` (canonical-hash placement). Public so the ingest
-  /// pipeline can partition batches and tests can target — or deliberately
-  /// stall — a specific shard's worker.
+  /// Shard owning `flow` (mixed canonical-hash placement). Public so the
+  /// ingest pipeline can partition batches and tests can target — or
+  /// deliberately stall — a specific shard's worker.
   std::size_t shard_of_flow(const net::FiveTuple& flow) const noexcept {
     return shard_index(flow);
   }
@@ -351,7 +373,8 @@ class DpiInstance {
   /// path records through stable pointers without touching the registry.
   /// All-null when InstanceConfig::metrics is false.
   struct ShardInstruments {
-    obs::Histogram* scan_ns = nullptr;
+    obs::Histogram* scan_ns = nullptr;           ///< one record per run
+    obs::Histogram* scan_run_packets = nullptr;  ///< packets per run
     obs::Counter* packets = nullptr;
     obs::Counter* bytes = nullptr;
     obs::Counter* raw_hits = nullptr;
@@ -413,27 +436,35 @@ class DpiInstance {
     return *shards_[shard_index(flow)];
   }
   std::size_t shard_index(const net::FiveTuple& flow) const noexcept {
-    return static_cast<std::size_t>(flow.canonical().hash()) % shards_.size();
+    // FNV-1a's low bits depend only on the low bits of each tuple byte, so
+    // a bare modulo piles sequentially numbered flows onto a few shards.
+    // The 64-bit finalizer (MurmurHash3 fmix64) spreads every bit first.
+    std::uint64_t h = flow.canonical().hash();
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdULL;
+    h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return static_cast<std::size_t>(h % shards_.size());
   }
 
   net::MatchReport build_report(dpi::ChainId chain, std::uint64_t packet_ref,
                                 const dpi::ScanResult& scan) const;
   std::optional<Bytes> maybe_decompress(const ShardInstruments& obs,
                                         BytesView payload) const;
-  /// Scan body shared by scan(), process() and scan_batch(); the caller
-  /// must hold shard.mu (compiler-enforced under DPISVC_THREAD_SAFETY).
-  dpi::ScanResult scan_on_shard(Shard& shard, dpi::ChainId chain,
-                                const net::FiveTuple& flow, BytesView payload)
-      DPISVC_REQUIRES(shard.mu);
-  /// Scans a same-chain run of a shard's bucket through the engine's
-  /// interleaved batch path (several flows' DFA walks advance per pass).
-  /// indices[0..count) select items; results land in out[indices[k]].
-  /// Match results are byte-identical to scanning the run sequentially —
-  /// scan_batch() callers see no difference besides throughput.
-  void scan_run_on_shard(Shard& shard, dpi::ChainId chain,
-                         const std::vector<ScanItem>& items,
+  /// The one scan body, shared by scan(), process() and scan_bucket():
+  /// scans the same-chain run items[indices[0..count)] and writes each
+  /// result to out[indices[k]]. Cursor lookup and update, eviction
+  /// counting, telemetry, obs and trace events all live here. A run of one
+  /// takes the engine's single-lane walk; a longer run goes through
+  /// Engine::scan_batch, whose results are byte-identical to scanning it
+  /// sequentially. A longer stateful run must hold distinct flows and fit
+  /// the flow table without eviction (scan_bucket forms runs that way). The
+  /// caller must hold shard.mu (compiler-enforced under
+  /// DPISVC_THREAD_SAFETY).
+  void scan_run_on_shard(Shard& shard, const ScanItem* items,
                          const std::uint32_t* indices, std::size_t count,
-                         std::vector<dpi::ScanResult>& out)
+                         dpi::ScanResult* out) DPISVC_REQUIRES(shard.mu);
+  /// A run of one.
+  dpi::ScanResult scan_one(Shard& shard, const ScanItem& item)
       DPISVC_REQUIRES(shard.mu);
   /// Full per-packet path under the shard lock (the body of process();
   /// process_batch() runs it bucket-at-a-time from pool jobs).

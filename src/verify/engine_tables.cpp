@@ -19,9 +19,9 @@ EngineTables extract_tables(const dpi::Engine& engine) {
   for (const auto& profile : engine.middleboxes()) {
     tables.middleboxes.push_back(profile.id);
   }
-  tables.chains = engine.chain_table();
-  for (const auto& [chain, members] : tables.chains) {
-    tables.chain_bitmaps[chain] = engine.chain_bitmap(chain);
+  for (const auto& [chain, info] : engine.chain_table()) {
+    tables.chains[chain] = info.members;
+    tables.chain_bitmaps[chain] = info.active;
   }
   return tables;
 }

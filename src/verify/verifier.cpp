@@ -561,10 +561,10 @@ std::vector<Diagnostic> cross_check_kernel(
     max_packets = std::max(max_packets, flows[fi].size());
     for (std::size_t pi = 0; pi < flows[fi].size(); ++pi) {
       const BytesView payload(flows[fi][pi]);
-      const dpi::ScanResult scalar = engine.scan_packet_as(
-          dpi::ScanKernel::kScalar, chain, payload, scalar_cursor);
-      const dpi::ScanResult batched = engine.scan_packet_as(
-          dpi::ScanKernel::kBatched, chain, payload, kernel_cursor);
+      const dpi::ScanResult scalar = engine.scan_packet(
+          chain, payload, scalar_cursor, dpi::ScanKernel::kScalar);
+      const dpi::ScanResult batched = engine.scan_packet(
+          chain, payload, kernel_cursor, dpi::ScanKernel::kBatched);
       const std::string diff = diff_scan_results(scalar, batched);
       if (!diff.empty()) {
         r.report("kernel-scan-divergence", "flow ", fi, " packet ", pi, ": ",
@@ -591,12 +591,12 @@ std::vector<Diagnostic> cross_check_kernel(
       round_cursors.push_back(batch_cursors[fi]);
     }
     if (payloads.empty()) continue;
-    const std::vector<dpi::ScanResult> batched = engine.scan_batch_as(
-        dpi::ScanKernel::kBatched, chain, payloads, &round_cursors);
+    const std::vector<dpi::ScanResult> batched = engine.scan_batch(
+        chain, payloads, &round_cursors, dpi::ScanKernel::kBatched);
     for (std::size_t k = 0; k < members.size(); ++k) {
       const std::size_t fi = members[k];
-      const dpi::ScanResult scalar = engine.scan_packet_as(
-          dpi::ScanKernel::kScalar, chain, payloads[k], scalar_cursors[fi]);
+      const dpi::ScanResult scalar = engine.scan_packet(
+          chain, payloads[k], scalar_cursors[fi], dpi::ScanKernel::kScalar);
       const std::string diff = diff_scan_results(scalar, batched[k]);
       if (!diff.empty()) {
         r.report("kernel-batch-divergence", "flow ", fi, " round ", round,

@@ -497,14 +497,6 @@ TEST(Engine, IntrospectionCounters) {
   EXPECT_EQ(engine->find_middlebox(42), nullptr);
 }
 
-TEST(Engine, ScanPacketForExplicitBitmap) {
-  auto engine = Engine::compile(two_middlebox_spec());
-  const auto found =
-      flatten(engine->scan_packet_for(bitmap_of(2), view("CDBCABE")));
-  EXPECT_EQ(found.size(), 1u);
-  EXPECT_TRUE(found.count({2, 1, 7}));
-}
-
 // --- stop-condition boundary convention --------------------------------------
 //
 // Pin the documented convention (MiddleboxProfile::stop_offset): a match is

@@ -263,10 +263,10 @@ TEST(ScanKernelEngineTest, StatefulResumeAtNonStrideOffsets) {
       const std::size_t len = std::min(chunk, stream.size() - base);
       const BytesView packet(
           reinterpret_cast<const std::uint8_t*>(stream.data()) + base, len);
-      const auto ref = engine->scan_packet_as(dpi::ScanKernel::kScalar, 1,
-                                              packet, scalar_cursor);
-      const auto got = engine->scan_packet_as(dpi::ScanKernel::kBatched, 1,
-                                              packet, kernel_cursor);
+      const auto ref = engine->scan_packet(1, packet, scalar_cursor,
+                                           dpi::ScanKernel::kScalar);
+      const auto got = engine->scan_packet(1, packet, kernel_cursor,
+                                           dpi::ScanKernel::kBatched);
       expect_same_result(ref, got,
                          "chunk=" + std::to_string(chunk) +
                              " base=" + std::to_string(base));
@@ -299,9 +299,9 @@ TEST(ScanKernelEngineTest, StopOffsetBoundariesIdenticalAcrossKernels) {
     const BytesView bytes(
         reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
     const auto ref =
-        engine->scan_packet_as(dpi::ScanKernel::kScalar, 1, bytes);
+        engine->scan_packet(1, bytes, {}, dpi::ScanKernel::kScalar);
     const auto got =
-        engine->scan_packet_as(dpi::ScanKernel::kBatched, 1, bytes);
+        engine->scan_packet(1, bytes, {}, dpi::ScanKernel::kBatched);
     expect_same_result(ref, got, "end=" + std::to_string(end));
     bool reported = false;
     for (const MatchKey& key : match_set(got)) {
@@ -353,10 +353,10 @@ TEST(ScanKernelEngineTest, AdversarialStreamsScanIdentically) {
         for (std::size_t base = 0; base < view.bytes.size(); base += chunk) {
           const std::size_t len = std::min(chunk, view.bytes.size() - base);
           const BytesView packet(view.bytes.data() + base, len);
-          const auto ref = engine->scan_packet_as(dpi::ScanKernel::kScalar, 1,
-                                                  packet, scalar_cursor);
-          const auto got = engine->scan_packet_as(dpi::ScanKernel::kBatched, 1,
-                                                  packet, kernel_cursor);
+          const auto ref = engine->scan_packet(1, packet, scalar_cursor,
+                                               dpi::ScanKernel::kScalar);
+          const auto got = engine->scan_packet(1, packet, kernel_cursor,
+                                               dpi::ScanKernel::kBatched);
           expect_same_result(ref, got,
                              "spec=" + std::to_string(si) +
                                  " chunk=" + std::to_string(chunk) +
@@ -383,11 +383,11 @@ TEST(ScanKernelEngineTest, InterleavedBatchEqualsSequentialScans) {
   for (const Bytes& b : storage) payloads.emplace_back(b);
 
   const auto batch =
-      engine->scan_batch_as(dpi::ScanKernel::kBatched, 2, payloads, nullptr);
+      engine->scan_batch(2, payloads, nullptr, dpi::ScanKernel::kBatched);
   ASSERT_EQ(batch.size(), payloads.size());
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     const auto ref =
-        engine->scan_packet_as(dpi::ScanKernel::kScalar, 2, payloads[i]);
+        engine->scan_packet(2, payloads[i], {}, dpi::ScanKernel::kScalar);
     expect_same_result(ref, batch[i], "packet " + std::to_string(i));
   }
 }

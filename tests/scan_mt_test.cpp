@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "dpi/engine.hpp"
 #include "service/instance.hpp"
+#include "workload/traffic_gen.hpp"
 
 namespace dpisvc::service {
 namespace {
@@ -44,6 +45,10 @@ std::shared_ptr<const dpi::Engine> mt_engine() {
       dpi::ExactPatternSpec{"virus", 2, 1},
       dpi::ExactPatternSpec{"HTTP", 3, 0},
   };
+  // A stateful-owned regex whose anchors ("evil", "virus") are also exact
+  // patterns: anchor hits, regex evaluations and cross-packet windows all
+  // show up in the per-shard counters the comparison below sums.
+  spec.regex_patterns = {dpi::RegexPatternSpec{"evil[a-z]*virus", 2, 2}};
   spec.chains[1] = {1, 3};     // stateless chain
   spec.chains[2] = {1, 2, 3};  // stateful chain
   return dpi::Engine::compile(spec);
@@ -132,6 +137,50 @@ std::string serialize(const std::vector<dpi::ScanResult>& results) {
   return out.str();
 }
 
+/// Every counter two instances keep about the packets they scanned: the
+/// telemetry block (less busy time), the per-chain counters, and the obs
+/// shard counters summed over shards.
+void expect_same_accounting(const DpiInstance& a, const DpiInstance& b,
+                            const std::string& label) {
+  const InstanceTelemetry ta = a.telemetry();
+  const InstanceTelemetry tb = b.telemetry();
+  EXPECT_EQ(ta.packets, tb.packets) << label;
+  EXPECT_EQ(ta.bytes, tb.bytes) << label;
+  EXPECT_EQ(ta.raw_hits, tb.raw_hits) << label;
+  EXPECT_EQ(ta.match_packets, tb.match_packets) << label;
+  EXPECT_EQ(ta.result_bytes, tb.result_bytes) << label;
+  EXPECT_EQ(ta.pass_through, tb.pass_through) << label;
+  EXPECT_EQ(ta.flow_evictions, tb.flow_evictions) << label;
+
+  const auto ca = a.chain_telemetry();
+  const auto cb = b.chain_telemetry();
+  ASSERT_EQ(ca.size(), cb.size()) << label;
+  for (const auto& [chain, counters] : ca) {
+    ASSERT_EQ(cb.count(chain), 1u) << label << " chain " << chain;
+    const ChainTelemetry& other = cb.at(chain);
+    EXPECT_EQ(counters.packets, other.packets) << label << " chain " << chain;
+    EXPECT_EQ(counters.bytes, other.bytes) << label << " chain " << chain;
+    EXPECT_EQ(counters.raw_hits, other.raw_hits) << label << " chain " << chain;
+  }
+
+  const auto sum = [](const DpiInstance& inst, const std::string& suffix) {
+    const json::Value snap = inst.metrics().snapshot();
+    double total = 0;
+    for (std::size_t i = 0; i < inst.num_shards(); ++i) {
+      total += snap.at("counters")
+                   .at("shard" + std::to_string(i) + "." + suffix)
+                   .as_number();
+    }
+    return total;
+  };
+  for (const char* suffix :
+       {"packets", "bytes", "raw_hits", "anchor_hits", "regex_evals",
+        "regex_matches", "flow_evictions"}) {
+    EXPECT_EQ(sum(a, suffix), sum(b, suffix)) << label << " shard*." << suffix;
+  }
+  EXPECT_GT(sum(a, "regex_evals"), 0) << label;
+}
+
 TEST(ScanMt, BatchMatchesSingleThreadedReferenceForAllWorkerCounts) {
   const auto engine = mt_engine();
   const auto trace = make_trace();
@@ -172,7 +221,51 @@ TEST(ScanMt, BatchMatchesSingleThreadedReferenceForAllWorkerCounts) {
     }
     EXPECT_EQ(serialize(results), expected) << "workers=" << workers;
     EXPECT_EQ(inst.telemetry().packets, trace.size());
+
+    // The same trace one packet at a time through scan(): runs of one must
+    // account exactly like the batch path's longer runs.
+    DpiInstance single("single" + std::to_string(workers), config);
+    single.load_engine(engine, 1);
+    std::vector<dpi::ScanResult> singles;
+    for (const TracePacket& p : trace) {
+      singles.push_back(single.scan(p.chain, p.flow, BytesView(p.payload)));
+    }
+    EXPECT_EQ(serialize(singles), expected) << "workers=" << workers;
+    expect_same_accounting(inst, single, "workers=" + std::to_string(workers));
+    std::uint64_t runs = 0;
+    std::uint64_t run_packets = 0;
+    for (std::size_t i = 0; i < workers; ++i) {
+      const auto* h = inst.metrics().find_histogram(
+          "shard" + std::to_string(i) + ".scan_run_packets");
+      ASSERT_NE(h, nullptr);
+      runs += h->count();
+      run_packets += h->sum();
+    }
+    EXPECT_EQ(run_packets, trace.size());
+    EXPECT_LT(runs, run_packets)
+        << "workers=" << workers << ": no run longer than one packet";
   }
+}
+
+TEST(ScanMt, ShardPlacementBalancesHttpTraceFlows) {
+  // Sequentially numbered flows (10.0.x.y, ports 20000+i) differ only in a
+  // few low bits per tuple byte; placement must still spread them.
+  workload::TrafficConfig traffic;
+  traffic.num_flows = 1024;
+  traffic.num_packets = 1024;
+  traffic.min_payload = 1;
+  traffic.max_payload = 1;
+  InstanceConfig config;
+  config.num_workers = 4;
+  DpiInstance inst("placement", config);
+  std::vector<std::size_t> load(inst.num_shards(), 0);
+  for (const auto& p : workload::generate_http_trace(traffic)) {
+    ++load[inst.shard_of_flow(p.tuple)];
+  }
+  const double mean = 1024.0 / static_cast<double>(load.size());
+  const std::size_t max = *std::max_element(load.begin(), load.end());
+  EXPECT_LE(static_cast<double>(max) / mean, 1.5)
+      << load[0] << "/" << load[1] << "/" << load[2] << "/" << load[3];
 }
 
 TEST(ScanMt, EngineBatchEqualsPerPacketScan) {
