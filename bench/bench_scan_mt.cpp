@@ -11,9 +11,14 @@
 // emitted JSON includes `hardware_threads` so consumers can tell whether a
 // flat curve means "sharding is broken" or "the machine has one CPU".
 //
+// Repeats are interleaved: each round replays the trace once through every
+// configuration, so host drift lands on all of them alike. The JSON reports
+// each figure as the median over rounds plus its min..max spread; speedups
+// are medians of the per-round ratios.
+//
 // Usage: bench_scan_mt [num_packets] [repeats]
 //   num_packets  trace size (default 20000; CI smoke passes e.g. 2000)
-//   repeats      times the trace is replayed per configuration (default 3)
+//   repeats      interleaved rounds (default 3)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -75,13 +80,13 @@ struct RunResult {
   double p99_us = 0.0;
 };
 
-/// Replays `items` through a fresh instance `repeats` times in batches of
-/// kBatch, timing each scan_batch() submit-to-complete round trip. Batch
-/// latencies go through an obs::Histogram — the same percentile machinery
-/// the telemetry channel exports — instead of a private sort-and-index.
+/// Replays `items` once through a fresh instance in batches of kBatch,
+/// timing each scan_batch() submit-to-complete round trip. Batch latencies
+/// go through an obs::Histogram — the same percentile machinery the
+/// telemetry channel exports — instead of a private sort-and-index.
 RunResult run_config(const std::shared_ptr<const dpi::Engine>& engine,
                      const std::vector<service::ScanItem>& items,
-                     std::size_t workers, int repeats) {
+                     std::size_t workers) {
   service::InstanceConfig config;
   config.num_workers = workers;
   config.max_flows = 4096;
@@ -92,16 +97,14 @@ RunResult run_config(const std::shared_ptr<const dpi::Engine>& engine,
   obs::Histogram batch_ns(obs::Histogram::latency_bounds_ns());
   std::uint64_t packets = 0;
   Stopwatch total;
-  for (int rep = 0; rep < repeats; ++rep) {
-    for (std::size_t base = 0; base < items.size(); base += kBatch) {
-      const std::size_t end = std::min(base + kBatch, items.size());
-      const std::vector<service::ScanItem> batch(items.begin() + base,
-                                                 items.begin() + end);
-      Stopwatch w;
-      const auto results = inst.scan_batch(batch);
-      batch_ns.record(w.elapsed_ns());
-      packets += results.size();
-    }
+  for (std::size_t base = 0; base < items.size(); base += kBatch) {
+    const std::size_t end = std::min(base + kBatch, items.size());
+    const std::vector<service::ScanItem> batch(items.begin() + base,
+                                               items.begin() + end);
+    Stopwatch w;
+    const auto results = inst.scan_batch(batch);
+    batch_ns.record(w.elapsed_ns());
+    packets += results.size();
   }
   const double seconds = total.elapsed_seconds();
   RunResult r;
@@ -110,6 +113,27 @@ RunResult run_config(const std::shared_ptr<const dpi::Engine>& engine,
   r.p99_us = batch_ns.percentile(0.99) / 1e3;
   return r;
 }
+
+/// One figure over the interleaved rounds.
+struct Spread {
+  std::vector<double> samples;
+
+  double median() const {
+    std::vector<double> v = samples;
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    if (n == 0) return 0.0;
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  }
+  double min() const {
+    return samples.empty() ? 0.0
+                           : *std::min_element(samples.begin(), samples.end());
+  }
+  double max() const {
+    return samples.empty() ? 0.0
+                           : *std::max_element(samples.begin(), samples.end());
+  }
+};
 
 }  // namespace
 }  // namespace dpisvc::bench
@@ -142,42 +166,78 @@ int main(int argc, char** argv) {
   const auto trace = workload::generate_http_trace(traffic);
 
   const std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
+  const std::size_t effective_workers =
+      std::min<std::size_t>(4, std::max(1u, hw_threads));
+  const bool scaling_limited = hw_threads < 4;
+  const char* const kinds[] = {"stateless", "stateful"};
+
+  // Per (kind, configuration) samples; configuration "scalar1"/"kernel1"
+  // are the 1-worker kernel-vs-scalar pair, "<n>w" the kernel at n workers.
+  std::map<std::string, Spread> pps, p50, p99, ratio;
+  for (int round = 0; round < repeats; ++round) {
+    for (const char* kind : kinds) {
+      const dpi::ChainId chain = std::string(kind) == "stateless" ? 1 : 2;
+      const auto items = items_for(trace, chain);
+      const auto record = [&](const std::string& key, const RunResult& r) {
+        pps[key].samples.push_back(r.pps);
+        p50[key].samples.push_back(r.p50_us);
+        p99[key].samples.push_back(r.p99_us);
+        return r.pps;
+      };
+      const std::string k(kind);
+      // Single-worker kernel-vs-scalar: same trace, same instance shape,
+      // only the scan walk differs — the direct measure of the kernel.
+      const double scalar1 =
+          record(k + "/scalar1", run_config(scalar_engine, items, 1));
+      const double kernel1 =
+          record(k + "/kernel1", run_config(kernel_engine, items, 1));
+      if (scalar1 > 0.0) ratio[k + "/kernel"].samples.push_back(kernel1 /
+                                                                scalar1);
+      std::map<std::size_t, double> round_pps;
+      for (const std::size_t workers : worker_counts) {
+        round_pps[workers] =
+            record(k + "/" + std::to_string(workers) + "w",
+                   run_config(kernel_engine, items, workers));
+      }
+      if (round_pps[1] > 0.0) {
+        ratio[k + "/workers"].samples.push_back(round_pps[effective_workers] /
+                                                round_pps[1]);
+      }
+    }
+  }
+
   json::Array series;
   json::Object kernel_vs_scalar;
-  std::map<std::string, double> pps_at_workers;  // stateless kernel runs
-
-  for (const char* kind : {"stateless", "stateful"}) {
-    const dpi::ChainId chain = std::string(kind) == "stateless" ? 1 : 2;
-    const auto items = items_for(trace, chain);
-
-    // Single-worker kernel-vs-scalar: same trace, same instance shape, only
-    // the scan walk differs — the direct measure of the batched kernel.
-    const RunResult scalar1 = run_config(scalar_engine, items, 1, repeats);
-    const RunResult kernel1 = run_config(kernel_engine, items, 1, repeats);
-    const double kernel_speedup =
-        scalar1.pps > 0.0 ? kernel1.pps / scalar1.pps : 0.0;
+  for (const char* kind : kinds) {
+    const std::string k(kind);
+    const Spread& speedup = ratio[k + "/kernel"];
     std::printf("\n%-10s 1-worker scalar %12.0f pps, kernel %12.0f pps "
-                "(%.2fx)\n",
-                kind, scalar1.pps, kernel1.pps, kernel_speedup);
-    kernel_vs_scalar[std::string("pps_scalar_1w_") + kind] = scalar1.pps;
-    kernel_vs_scalar[std::string("pps_kernel_1w_") + kind] = kernel1.pps;
-    kernel_vs_scalar[std::string("kernel_speedup_1w_") + kind] =
-        kernel_speedup;
+                "(%.2fx, rounds %.2f..%.2f)\n",
+                kind, pps[k + "/scalar1"].median(),
+                pps[k + "/kernel1"].median(), speedup.median(), speedup.min(),
+                speedup.max());
+    kernel_vs_scalar["pps_scalar_1w_" + k] = pps[k + "/scalar1"].median();
+    kernel_vs_scalar["pps_kernel_1w_" + k] = pps[k + "/kernel1"].median();
+    kernel_vs_scalar["kernel_speedup_1w_" + k] = speedup.median();
+    kernel_vs_scalar["kernel_speedup_1w_" + k + "_min"] = speedup.min();
+    kernel_vs_scalar["kernel_speedup_1w_" + k + "_max"] = speedup.max();
 
-    std::printf("%-10s %8s %12s %12s %12s\n", kind, "workers", "pps",
-                "p50_us", "p99_us");
+    std::printf("%-10s %8s %12s %12s %12s %12s %12s\n", kind, "workers",
+                "pps", "pps_min", "pps_max", "p50_us", "p99_us");
     for (const std::size_t workers : worker_counts) {
-      const RunResult r = run_config(kernel_engine, items, workers, repeats);
-      std::printf("%-10s %8zu %12.0f %12.1f %12.1f\n", "", workers, r.pps,
-                  r.p50_us, r.p99_us);
+      const std::string key = k + "/" + std::to_string(workers) + "w";
+      std::printf("%-10s %8zu %12.0f %12.0f %12.0f %12.1f %12.1f\n", "",
+                  workers, pps[key].median(), pps[key].min(), pps[key].max(),
+                  p50[key].median(), p99[key].median());
       series.push_back(json::Value(json::obj({
           {"chain", kind},
           {"workers", static_cast<double>(workers)},
-          {"pps", r.pps},
-          {"p50_us", r.p50_us},
-          {"p99_us", r.p99_us},
+          {"pps", pps[key].median()},
+          {"pps_min", pps[key].min()},
+          {"pps_max", pps[key].max()},
+          {"p50_us", p50[key].median()},
+          {"p99_us", p99[key].median()},
       })));
-      if (chain == 1) pps_at_workers[std::to_string(workers)] = r.pps;
     }
   }
 
@@ -186,14 +246,11 @@ int main(int argc, char** argv) {
   // 4-worker pps by the 1-worker pps on a 1-CPU container only measures
   // scheduler overhead — the number was meaningless there, so the divisor
   // is clamped and the clamp is reported.
-  const std::size_t effective_workers =
-      std::min<std::size_t>(4, std::max(1u, hw_threads));
-  const bool scaling_limited = hw_threads < 4;
-  const double pps_1w = pps_at_workers["1"];
-  const double pps_eff = pps_at_workers[std::to_string(effective_workers)];
-  const double speedup_4w = pps_1w > 0.0 ? pps_eff / pps_1w : 0.0;
-  std::printf("\nstateless %zu-worker speedup over 1 worker: %.2fx\n",
-              effective_workers, speedup_4w);
+  const Spread& scaling = ratio["stateless/workers"];
+  const double speedup_4w = scaling.median();
+  std::printf("\nstateless %zu-worker speedup over 1 worker: %.2fx "
+              "(rounds %.2f..%.2f)\n",
+              effective_workers, speedup_4w, scaling.min(), scaling.max());
   if (scaling_limited) {
     std::printf(
         "note: only %u hardware thread(s) available — worker scaling cannot\n"
@@ -212,6 +269,9 @@ int main(int argc, char** argv) {
       {"effective_workers", static_cast<double>(effective_workers)},
       {"scaling_limited_by_cpus", scaling_limited},
       {"speedup_stateless_4w", speedup_4w},
+      {"speedup_stateless_4w_min", scaling.min()},
+      {"speedup_stateless_4w_max", scaling.max()},
+      {"repeat_order", "interleaved"},
   });
   for (const auto& [key, value] : kernel_vs_scalar) {
     out[key] = value;

@@ -63,23 +63,15 @@ class SpscRingError : public std::invalid_argument {
 inline constexpr std::size_t kSpscRingMaxCapacity = std::size_t{1} << 30;
 
 namespace detail {
-// Fault-injection hook for the dpisvc_mc "teeth" test ONLY: defining
-// DPISVC_SPSC_PUBLISH_ORDER_RELAXED demotes the producer's tail publish
-// from release to relaxed, re-introducing the classic unsynchronized-slot
-// bug so the model checker can prove it detects wrong memory orders. The
-// macro may only be defined in a translation unit whose ring instantiations
-// use a TU-local Sync tag (tests/mc_fault_test.cpp does `struct FaultSync :
-// mc::ModelSync {}`). The order is a variable template on Sync so the ODR
-// story is airtight: the faulting TU only instantiates
-// kSpscPublishOrder<FaultSync>, a specialization no other TU mentions, and
-// the shared specializations (RealSync, ModelSync) keep one definition.
+// The producer's tail publish. The mc::Fault::kRingRelaxedPublish tag of
+// tests/mc_fault_test.cpp demotes it to relaxed, re-introducing the classic
+// unsynchronized-slot bug so the model checker can prove it detects wrong
+// memory orders; every other Sync keeps the release.
 template <typename Sync>
 inline constexpr std::memory_order kSpscPublishOrder =
-#if defined(DPISVC_SPSC_PUBLISH_ORDER_RELAXED)
-    std::memory_order_relaxed;
-#else
-    std::memory_order_release;
-#endif
+    mc::seeded_fault<Sync>() == mc::Fault::kRingRelaxedPublish
+        ? std::memory_order_relaxed
+        : std::memory_order_release;
 }  // namespace detail
 
 template <typename T, typename Sync = mc::RealSync>

@@ -38,13 +38,23 @@ void Middlebox::add_rule(RuleSpec rule) {
     throw std::invalid_argument(
         "Middlebox::add_rule: rule needs exactly one of exact/regex");
   }
-  rules_.emplace(rule.id, std::move(rule));
+  const dpi::PatternId id = rule.id;
+  const RuleSpec& stored = rules_.emplace(id, std::move(rule)).first->second;
+  slots_[id].rule = &stored;
   invalidate_engine();
 }
 
 const RuleSpec* Middlebox::find_rule(dpi::PatternId id) const noexcept {
-  auto it = rules_.find(id);
-  return it == rules_.end() ? nullptr : &it->second;
+  auto it = slots_.find(id);
+  return it == slots_.end() ? nullptr : it->second.rule;
+}
+
+std::map<dpi::PatternId, std::uint64_t> Middlebox::hits_by_rule() const {
+  std::map<dpi::PatternId, std::uint64_t> hits;
+  for (const auto& [id, slot] : slots_) {
+    if (slot.hit) hits.emplace(id, slot.hits);
+  }
+  return hits;
 }
 
 service::RegisterRequest Middlebox::registration() const {
@@ -99,12 +109,14 @@ Verdict Middlebox::apply_report_entries(
   ++packets_;
   Verdict verdict = Verdict::kPass;
   for (const net::MatchEntry& entry : entries) {
-    const RuleSpec* rule = find_rule(entry.pattern_id);
-    if (rule == nullptr) continue;  // stale result for a removed rule
-    hits_[entry.pattern_id] += entry.run_length;
+    const auto it = slots_.find(entry.pattern_id);
+    if (it == slots_.end()) continue;  // stale result for a removed rule
+    RuleSlot& slot = it->second;
+    slot.hits += entry.run_length;
+    slot.hit = true;
     total_hits_ += entry.run_length;
-    verdict = std::max(verdict, rule->verdict);
-    on_rule_hit(*rule, entry, data);
+    verdict = std::max(verdict, slot.rule->verdict);
+    on_rule_hit(*slot.rule, entry, data);
   }
   on_packet_done(data, verdict);
   return verdict;
@@ -214,7 +226,10 @@ std::vector<Verdict> Middlebox::process_standalone_batch(
 }
 
 void Middlebox::reset_stats() {
-  hits_.clear();
+  for (auto& [id, slot] : slots_) {
+    slot.hits = 0;
+    slot.hit = false;
+  }
   total_hits_ = 0;
   packets_ = 0;
 }

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dpi/engine.hpp"
@@ -127,9 +128,9 @@ class Middlebox {
 
   std::uint64_t packets_processed() const noexcept { return packets_; }
   std::uint64_t total_rule_hits() const noexcept { return total_hits_; }
-  const std::map<dpi::PatternId, std::uint64_t>& hits_by_rule() const noexcept {
-    return hits_;
-  }
+  /// Hit count per rule id, for the rules hit at least once since the last
+  /// reset_stats().
+  std::map<dpi::PatternId, std::uint64_t> hits_by_rule() const;
   void reset_stats();
 
  protected:
@@ -144,10 +145,20 @@ class Middlebox {
  private:
   void invalidate_engine() noexcept { standalone_engine_.reset(); }
 
-  dpi::MiddleboxProfile profile_;
-  std::map<dpi::PatternId, RuleSpec> rules_;
+  /// The data-plane view of one rule: apply_report_entries resolves a
+  /// match entry with one hash lookup and counts the hit in place.
+  struct RuleSlot {
+    const RuleSpec* rule = nullptr;  ///< node of rules_ (stable address)
+    std::uint64_t hits = 0;
+    bool hit = false;  ///< hit since the last reset_stats()
+  };
 
-  std::map<dpi::PatternId, std::uint64_t> hits_;
+  dpi::MiddleboxProfile profile_;
+  /// Id order: registration, pattern upload and the standalone engine
+  /// iterate it.
+  std::map<dpi::PatternId, RuleSpec> rules_;
+  std::unordered_map<dpi::PatternId, RuleSlot> slots_;
+
   std::uint64_t total_hits_ = 0;
   std::uint64_t packets_ = 0;
 

@@ -48,6 +48,21 @@ std::vector<ScenarioInfo> build_registry() {
   }
   {
     ScenarioInfo s;
+    s.name = "pool_dispatch";
+    s.description =
+        "ScanPool dispatch: the caller runs job 0 inline only when its "
+        "worker completed every pushed job; per-worker FIFO, exactly-once, "
+        "no lost wakeup under untimed waits";
+    // One preemption keeps the registry run to seconds. The overtake the
+    // parked-check variant allows needs two (the fault test explores at
+    // two); `dpisvc_mc --scenario pool_dispatch --max-preemptions 2`
+    // verifies the shipped protocol there too (≈170k executions, ≈12 min).
+    s.options.max_preemptions = 1;
+    s.body = [] { scenarios::pool_dispatch_body<ModelSync>(); };
+    list.push_back(std::move(s));
+  }
+  {
+    ScenarioInfo s;
     s.name = "pool_park_wake";
     s.description =
         "ScanPool park/wake: untimed modeled waits prove the 1ms backstop "

@@ -53,8 +53,8 @@ void ring_spsc_body(std::size_t capacity, int items) {
 /// wait_zero() returns (placement-new keeps the raw memory valid, so only
 /// the model's destroy tombstones — not ASan — decide what counts as a
 /// use-after-destroy). The shipped notify-under-mutex discipline makes this
-/// safe; the DPISVC_MC_FAULT_COMPLETION_NOTIFY variant reintroduces the
-/// pre-PR9 signal-after-unlock bug, which must surface as MC003.
+/// safe; the mc::Fault::kNotifyAfterUnlock variant reintroduces the
+/// historical signal-after-unlock bug, which must surface as MC003.
 template <typename Sync>
 void completion_latch_body() {
   using Completion = typename service::BasicScanPool<Sync>::Completion;
@@ -96,6 +96,72 @@ void pool_park_wake_body() {
   }  // ~BasicScanPool: stop + wake + join both workers
   Sync::race_read(&hits);
   require(hits == 1, "a submitted job must run exactly once");
+}
+
+namespace detail {
+/// Worker 0's job log for pool_dispatch: each job appends its tag. The race
+/// hooks report two jobs of one worker that run without a happens-before
+/// edge, and the order check catches an overtake.
+struct DispatchLog {
+  int tags[2] = {0, 0};
+  int size = 0;
+};
+template <typename Sync, int kTag>
+void log_job(void* ctx, std::size_t /*arg*/) {
+  auto* log = static_cast<DispatchLog*>(ctx);
+  Sync::race_write(&log->size);
+  if (log->size < 2) log->tags[log->size] = kTag;
+  ++log->size;
+}
+
+/// pool_dispatch's hand-over: a job on worker 1 submits job A to worker 0,
+/// then tells the waiting caller through a condvar (not a spin, so the
+/// scheduler switches to the caller without spending a preemption).
+template <typename Sync>
+struct DispatchRace {
+  service::BasicScanPool<Sync>* pool = nullptr;
+  DispatchLog log;
+  typename Sync::Mutex mu;
+  typename Sync::CondVar cv;
+  bool submitted DPISVC_GUARDED_BY(mu) = false;
+};
+template <typename Sync>
+void submit_async_job(void* ctx, std::size_t /*arg*/) {
+  auto* race = static_cast<DispatchRace<Sync>*>(ctx);
+  race->pool->submit_blocking(0, &log_job<Sync, 'A'>, &race->log, 0);
+  const typename Sync::MutexLock lock(race->mu);
+  race->submitted = true;
+  race->cv.notify_one();
+}
+}  // namespace detail
+
+/// dispatch() with the caller running job 0 inline, racing an asynchronous
+/// job A that was submitted to the same worker just before: A may still be
+/// queued, running, or done when dispatch() decides. A worker whose final
+/// pre-park re-check has just popped A still reads as `parked &&
+/// ring.empty()`. Job D may run inline only when A is done; otherwise it
+/// must queue behind A. Every job runs exactly once, worker 0 runs A before
+/// D, and with untimed modeled waits a lost wakeup deadlocks (MC004). Worker
+/// 1 submits A, so the scenario needs no model thread beyond the pool's.
+template <typename Sync>
+void pool_dispatch_body() {
+  using Pool = service::BasicScanPool<Sync>;
+  detail::DispatchRace<Sync> race{};
+  {
+    Pool pool(2, /*queue_capacity=*/2, service::OverloadPolicy::kBlock,
+              typename Pool::Instruments{});
+    race.pool = &pool;
+    pool.submit_blocking(1, &detail::submit_async_job<Sync>, &race, 0);
+    {
+      typename Sync::MutexLock lock(race.mu);
+      while (!race.submitted) race.cv.wait(lock);
+    }
+    pool.dispatch(&detail::log_job<Sync, 'D'>, &race.log, 1);
+  }  // ~BasicScanPool: stop + wake + join both workers
+  Sync::race_read(&race.log.size);
+  require(race.log.size == 2, "each job must run exactly once");
+  require(race.log.tags[0] == 'A' && race.log.tags[1] == 'D',
+          "a worker's jobs must run in push order");
 }
 
 /// Batch completion latch used by the ingest pipeline: results written by

@@ -63,4 +63,30 @@ struct RealSync {
   static void race_write(const void* /*addr*/) {}
 };
 
+/// Seeded bugs for the checker's "teeth" tests (tests/mc_fault_test.cpp).
+/// A test-only Sync tag derived from ModelSync opts into exactly one by
+/// declaring `static constexpr Fault kFault`; RealSync and ModelSync declare
+/// none, so every shipped instantiation compiles the correct branch. Keying
+/// the bug on the tag keeps one seeded bug from masking another in the same
+/// TU, and the faulted code exists only in that tag's specializations.
+enum class Fault {
+  kNone,
+  /// SpscRing's tail publish demoted from release to relaxed.
+  kRingRelaxedPublish,
+  /// Completion::finish_one signalling after releasing its mutex.
+  kNotifyAfterUnlock,
+  /// dispatch() running job 0 inline whenever its worker reads as
+  /// `parked && ring.empty()`, instead of checking completed == pushed.
+  kDispatchParkedCheck,
+};
+
+template <typename Sync>
+constexpr Fault seeded_fault() {
+  if constexpr (requires { Sync::kFault; }) {
+    return Sync::kFault;
+  } else {
+    return Fault::kNone;
+  }
+}
+
 }  // namespace dpisvc::mc

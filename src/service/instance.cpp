@@ -373,8 +373,12 @@ dpi::ScanResult DpiInstance::scan(dpi::ChainId chain,
     trace_.record(obs::TraceEvent::kShardDispatch, flow.canonical().hash(), 0,
                   payload.size(), shard.index, chain);
   }
+  static constexpr std::uint32_t kOnly = 0;
+  const ScanItem item{chain, flow, payload};
+  dpi::ScanResult result;
   const MutexLock lock(shard.mu);
-  return scan_one(shard, ScanItem{chain, flow, payload});
+  scan_run_on_shard(shard, &item, &kOnly, 1, &result);
+  return result;
 }
 
 namespace {
@@ -435,7 +439,22 @@ void DpiInstance::scan_bucket(std::size_t shard_idx,
                               const std::uint32_t* indices, std::size_t count,
                               std::vector<dpi::ScanResult>& out) {
   Shard& shard = *shards_[shard_idx];
+  if (trace_.enabled()) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const ScanItem& item = items[indices[k]];
+      trace_.record(obs::TraceEvent::kShardDispatch,
+                    item.flow.canonical().hash(), 0, item.payload.size(),
+                    shard.index, item.chain);
+    }
+  }
   const MutexLock lock(shard.mu);
+  // Distinct indices per bucket: writes to `out` never alias.
+  scan_runs(shard, items.data(), indices, count, out.data());
+}
+
+void DpiInstance::scan_runs(Shard& shard, const ScanItem* items,
+                            const std::uint32_t* indices, std::size_t count,
+                            dpi::ScanResult* out) {
   std::size_t pos = 0;
   while (pos < count) {
     // Form a same-chain run. A stateful run additionally (a) breaks before
@@ -462,17 +481,7 @@ void DpiInstance::scan_bucket(std::size_t shard_idx,
         ++end;
       }
     }
-    if (trace_.enabled()) {
-      for (std::size_t k = pos; k < end; ++k) {
-        const ScanItem& item = items[indices[k]];
-        trace_.record(obs::TraceEvent::kShardDispatch,
-                      item.flow.canonical().hash(), 0, item.payload.size(),
-                      shard.index, item.chain);
-      }
-    }
-    // Distinct indices per bucket: writes to `out` never alias.
-    scan_run_on_shard(shard, items.data(), indices + pos, end - pos,
-                      out.data());
+    scan_run_on_shard(shard, items, indices + pos, end - pos, out);
     pos = end;
   }
 }
@@ -497,19 +506,10 @@ void DpiInstance::process_batch_job(void* ctx, std::size_t shard) {
   if (begin == end) return;
   Shard& sh = *c->self->shards_[shard];
   const MutexLock lock(sh.mu);
-  for (std::uint32_t k = begin; k < end; ++k) {
-    const std::uint32_t i = c->order[k];
-    // A flow's packets share a bucket and keep submission order, so the
-    // outputs match the per-packet process() path exactly.
-    (*c->out)[i] = c->self->process_on_shard(sh, std::move((*c->packets)[i]));
-  }
-}
-
-dpi::ScanResult DpiInstance::scan_one(Shard& shard, const ScanItem& item) {
-  static constexpr std::uint32_t kOnly = 0;
-  dpi::ScanResult result;
-  scan_run_on_shard(shard, &item, &kOnly, 1, &result);
-  return result;
+  // A flow's packets share a bucket and keep submission order, so the
+  // outputs match the per-packet process() path exactly.
+  c->self->process_bucket(sh, c->packets->data(), c->order + begin,
+                          end - begin, c->out->data());
 }
 
 void DpiInstance::scan_run_on_shard(Shard& shard, const ScanItem* items,
@@ -656,15 +656,15 @@ void DpiInstance::publish_evasion_metrics(Shard& shard) {
 
 net::MatchReport DpiInstance::build_report(dpi::ChainId chain,
                                            std::uint64_t packet_ref,
-                                           const dpi::ScanResult& scan) const {
+                                           dpi::ScanResult&& scan) const {
   net::MatchReport report;
   report.policy_chain_id = chain;
   report.packet_ref = packet_ref;
-  for (const dpi::MiddleboxMatches& m : scan.matches) {
+  for (dpi::MiddleboxMatches& m : scan.matches) {
     if (m.entries.empty()) continue;
     net::MiddleboxSection section;
     section.middlebox_id = m.middlebox;
-    section.entries = m.entries;
+    section.entries = std::move(m.entries);
     report.sections.push_back(std::move(section));
   }
   return report;
@@ -697,77 +697,138 @@ std::optional<Bytes> DpiInstance::maybe_decompress(const ShardInstruments& obs,
 
 ProcessOutput DpiInstance::process(net::Packet packet) {
   Shard& shard = shard_of(packet.tuple);
+  static constexpr std::uint32_t kOnly = 0;
+  ProcessOutput out;
   const MutexLock lock(shard.mu);
-  return process_on_shard(shard, std::move(packet));
+  process_bucket(shard, &packet, &kOnly, 1, &out);
+  return out;
 }
 
-ProcessOutput DpiInstance::process_on_shard(Shard& shard, net::Packet packet) {
-  ProcessOutput out;
-  const auto tag = packet.find_tag(net::TagKind::kPolicyChain);
-  if (trace_.enabled()) {
-    trace_.record(obs::TraceEvent::kPacketIn, packet.tuple.canonical().hash(),
-                  0, packet.payload.size(), shard.index,
-                  tag ? static_cast<std::uint32_t>(*tag) : 0u);
-  }
-  if (!tag || shard.engine == nullptr ||
-      !shard.engine->chain_known(static_cast<dpi::ChainId>(*tag))) {
-    // Not ours to inspect: forward unchanged.
-    ++shard.telemetry.pass_through;
-    out.data = std::move(packet);
-    return out;
-  }
-  const auto chain = static_cast<dpi::ChainId>(*tag);
+namespace {
 
-  // IPv4 defragmentation: scan whole datagrams, not fragments. An
-  // incomplete fragment is forwarded unchanged (middleboxes see it; the
-  // scan runs on the packet that completes the datagram, which then carries
-  // the reassembled payload).
-  if (config_.defragment_ip) {
-    if (packet.is_fragment()) {
-      auto full = shard.defrag.feed(packet);
-      publish_evasion_metrics(shard);
-      if (!full) {
-        ++shard.telemetry.defrag_held;
-        out.data = std::move(packet);
-        return out;
+/// process_bucket's staging slots, reused across buckets so a steady-state
+/// bucket allocates no vectors. Slot j belongs to the j-th packet that
+/// survives staging; `chunks` and `inflated` keep the bytes its scan reads
+/// alive until the emit stage. thread_local: a thread runs one bucket at a
+/// time, and concurrent buckets never share buffers.
+struct BucketScratch {
+  std::vector<ScanItem> items;
+  std::vector<std::uint32_t> bucket_pos;  ///< slot j -> bucket position k
+  std::vector<std::uint32_t> identity;    ///< 0, 1, 2, ... for scan_runs
+  std::vector<dpi::ScanResult> results;
+  std::vector<Bytes> chunks;
+  std::vector<Bytes> inflated;
+};
+
+BucketScratch& bucket_scratch() {
+  thread_local BucketScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void DpiInstance::process_bucket(Shard& shard, net::Packet* packets,
+                                 const std::uint32_t* indices,
+                                 std::size_t count, ProcessOutput* out) {
+  BucketScratch& st = bucket_scratch();
+  st.items.clear();
+  st.bucket_pos.clear();
+  st.chunks.resize(count);
+  st.inflated.resize(count);
+
+  // Stage in. Per-flow state (defrag, reassembly) advances in bucket order;
+  // a packet that leaves nothing to scan is output here.
+  for (std::size_t k = 0; k < count; ++k) {
+    net::Packet& packet = packets[indices[k]];
+    ProcessOutput& o = out[indices[k]];
+    const auto tag = packet.find_tag(net::TagKind::kPolicyChain);
+    if (trace_.enabled()) {
+      trace_.record(obs::TraceEvent::kPacketIn,
+                    packet.tuple.canonical().hash(), 0, packet.payload.size(),
+                    shard.index, tag ? static_cast<std::uint32_t>(*tag) : 0u);
+    }
+    if (!tag || shard.engine == nullptr ||
+        !shard.engine->chain_known(static_cast<dpi::ChainId>(*tag))) {
+      // Not ours to inspect: forward unchanged.
+      ++shard.telemetry.pass_through;
+      o.data = std::move(packet);
+      continue;
+    }
+    const auto chain = static_cast<dpi::ChainId>(*tag);
+
+    // IPv4 defragmentation: scan whole datagrams, not fragments. An
+    // incomplete fragment is forwarded unchanged (middleboxes see it; the
+    // scan runs on the packet that completes the datagram, which then
+    // carries the reassembled payload).
+    if (config_.defragment_ip) {
+      if (packet.is_fragment()) {
+        auto full = shard.defrag.feed(packet);
+        publish_evasion_metrics(shard);
+        if (!full) {
+          ++shard.telemetry.defrag_held;
+          o.data = std::move(packet);
+          continue;
+        }
+        packet = std::move(*full);
+      } else {
+        // Non-fragments still advance the defragmenter's logical clock so
+        // partial datagrams time out against real traffic.
+        shard.defrag.tick();
       }
-      packet = std::move(*full);
-    } else {
-      // Non-fragments still advance the defragmenter's logical clock so
-      // partial datagrams time out against real traffic.
-      shard.defrag.tick();
     }
-  }
 
-  // Stream reassembly (§7): scan in-order stream chunks, not raw segments.
-  std::optional<Bytes> chunk_storage;
-  if (config_.reassemble_tcp && packet.tuple.proto == net::IpProto::kTcp) {
-    auto chunk = shard.reassembler.feed(packet);
-    publish_evasion_metrics(shard);
-    if (!chunk) {
-      // Out-of-order segment: nothing contiguous yet. Forward the packet
-      // (middleboxes see it; results for its bytes come with the packet
-      // that completes the gap).
-      ++shard.telemetry.reassembly_held;
-      out.data = std::move(packet);
-      return out;
+    const std::size_t slot = st.items.size();
+    // Stream reassembly (§7): scan in-order stream chunks, not raw segments.
+    BytesView scan_bytes(packet.payload);
+    if (config_.reassemble_tcp && packet.tuple.proto == net::IpProto::kTcp) {
+      auto chunk = shard.reassembler.feed(packet);
+      publish_evasion_metrics(shard);
+      if (!chunk) {
+        // Out-of-order segment: nothing contiguous yet. Forward the packet
+        // (middleboxes see it; results for its bytes come with the packet
+        // that completes the gap).
+        ++shard.telemetry.reassembly_held;
+        o.data = std::move(packet);
+        continue;
+      }
+      st.chunks[slot] = std::move(chunk->data);
+      scan_bytes = st.chunks[slot];
     }
-    chunk_storage = std::move(chunk->data);
-  }
-  const BytesView stream_bytes =
-      chunk_storage ? BytesView(*chunk_storage) : BytesView(packet.payload);
 
-  // Decompress once for all middleboxes on the chain (§1).
-  BytesView scan_bytes = stream_bytes;
-  std::optional<Bytes> inflated = maybe_decompress(shard.obs, stream_bytes);
-  if (inflated) {
-    ++shard.telemetry.decompressed_packets;
-    shard.telemetry.decompressed_bytes += inflated->size();
-    scan_bytes = *inflated;
+    // Decompress once for all middleboxes on the chain (§1).
+    if (std::optional<Bytes> inflated =
+            maybe_decompress(shard.obs, scan_bytes)) {
+      ++shard.telemetry.decompressed_packets;
+      shard.telemetry.decompressed_bytes += inflated->size();
+      st.inflated[slot] = std::move(*inflated);
+      scan_bytes = st.inflated[slot];
+    }
+    st.items.push_back(ScanItem{chain, packet.tuple, scan_bytes});
+    st.bucket_pos.push_back(static_cast<std::uint32_t>(k));
   }
-  const dpi::ScanResult scanned =
-      scan_one(shard, ScanItem{chain, packet.tuple, scan_bytes});
 
+  // Scan the survivors in same-chain runs.
+  const std::size_t staged = st.items.size();
+  while (st.identity.size() < staged) {
+    st.identity.push_back(static_cast<std::uint32_t>(st.identity.size()));
+  }
+  st.results.resize(staged);
+  scan_runs(shard, st.items.data(), st.identity.data(), staged,
+            st.results.data());
+
+  // Emit in bucket order.
+  for (std::size_t j = 0; j < staged; ++j) {
+    const std::uint32_t i = indices[st.bucket_pos[j]];
+    emit(shard, st.items[j].chain, packets[i], std::move(st.results[j]),
+         out[i]);
+  }
+  // Free the staged bytes now rather than when a slot is next reused.
+  st.chunks.clear();
+  st.inflated.clear();
+}
+
+void DpiInstance::emit(Shard& shard, dpi::ChainId chain, net::Packet& packet,
+                       dpi::ScanResult&& scanned, ProcessOutput& out) {
   const bool result_only = config_.result_mode == ResultMode::kResultOnly &&
                            shard.engine->chain_read_only(chain);
   if (result_only) {
@@ -779,15 +840,15 @@ ProcessOutput DpiInstance::process_on_shard(Shard& shard, net::Packet packet) {
   if (!scanned.has_matches()) {
     // §4.2: "a packet with no matches is always forwarded as is".
     out.data = std::move(packet);
-    return out;
+    return;
   }
 
   out.had_matches = true;
   const std::uint64_t packet_ref =
       packet.tuple.hash() ^ (static_cast<std::uint64_t>(packet.ip_id) << 48);
   // Keep in sync with service::packet_ref_of (instance_node.hpp).
-  const net::MatchReport report = build_report(chain, packet_ref, scanned);
-  const Bytes encoded = net::encode_report(report, config_.codec);
+  Bytes encoded = net::encode_report(
+      build_report(chain, packet_ref, std::move(scanned)), config_.codec);
   shard.telemetry.result_bytes += encoded.size();
 
   packet.set_match_mark(true);  // §6.1: ECN marks "has matches"
@@ -795,10 +856,10 @@ ProcessOutput DpiInstance::process_on_shard(Shard& shard, net::Packet packet) {
     net::ServiceHeader sh;
     sh.service_path_id = chain;
     sh.service_index = 0;
-    sh.metadata = encoded;
+    sh.metadata = std::move(encoded);
     packet.service_header = std::move(sh);
     out.data = std::move(packet);
-    return out;
+    return;
   }
 
   // Dedicated result packet follows the data packet through the chain (or,
@@ -816,12 +877,11 @@ ProcessOutput DpiInstance::process_on_shard(Shard& shard, net::Packet packet) {
   net::ServiceHeader sh;
   sh.service_path_id = kResultServicePathId;
   sh.service_index = 0;
-  sh.metadata = encoded;
+  sh.metadata = std::move(encoded);
   result.service_header = std::move(sh);
 
   out.data = std::move(packet);
   out.result = std::move(result);
-  return out;
 }
 
 dpi::FlowCursor DpiInstance::export_flow(const net::FiveTuple& flow) {

@@ -262,11 +262,13 @@ class DpiInstance {
   ProcessOutput process(net::Packet packet);
 
   /// Batched counterpart of process(): partitions the packets by shard and
-  /// runs the full per-packet path bucket-at-a-time on the pool workers —
-  /// one shard-lock acquisition and one pool job per shard, not per packet.
-  /// Outputs come back in submission order, and per-flow processing order
-  /// is preserved, so the outputs are identical to calling process() on
-  /// each packet in turn.
+  /// runs each shard's bucket through the same staged body as process() —
+  /// one shard-lock acquisition and one pool job per shard, not per packet,
+  /// with the caller running one bucket itself. Same-chain packets of a
+  /// bucket are scanned as runs on the interleaved walk. Outputs come back
+  /// in submission order, and per-flow processing order is preserved, so
+  /// the outputs are identical to calling process() on each packet in
+  /// turn.
   std::vector<ProcessOutput> process_batch(std::vector<net::Packet> packets);
 
   /// Scan-only fast path used by throughput benches: no packet object
@@ -284,7 +286,7 @@ class DpiInstance {
   /// Scans `count` items selected by `indices` — all of which must belong
   /// to shard `shard` — under that shard's lock, writing each result to
   /// out[indices[k]]. Consecutive same-chain items form runs (see
-  /// scan_run_on_shard). scan_batch() and the asynchronous ingest path call
+  /// scan_runs). scan_batch() and the asynchronous ingest path call
   /// this from per-shard pool jobs.
   void scan_bucket(std::size_t shard, const std::vector<ScanItem>& items,
                    const std::uint32_t* indices, std::size_t count,
@@ -447,7 +449,7 @@ class DpiInstance {
   }
 
   net::MatchReport build_report(dpi::ChainId chain, std::uint64_t packet_ref,
-                                const dpi::ScanResult& scan) const;
+                                dpi::ScanResult&& scan) const;
   std::optional<Bytes> maybe_decompress(const ShardInstruments& obs,
                                         BytesView payload) const;
   /// The one scan body, shared by scan(), process() and scan_bucket():
@@ -457,18 +459,32 @@ class DpiInstance {
   /// takes the engine's single-lane walk; a longer run goes through
   /// Engine::scan_batch, whose results are byte-identical to scanning it
   /// sequentially. A longer stateful run must hold distinct flows and fit
-  /// the flow table without eviction (scan_bucket forms runs that way). The
+  /// the flow table without eviction (scan_runs forms runs that way). The
   /// caller must hold shard.mu (compiler-enforced under
   /// DPISVC_THREAD_SAFETY).
   void scan_run_on_shard(Shard& shard, const ScanItem* items,
                          const std::uint32_t* indices, std::size_t count,
                          dpi::ScanResult* out) DPISVC_REQUIRES(shard.mu);
-  /// A run of one.
-  dpi::ScanResult scan_one(Shard& shard, const ScanItem& item)
-      DPISVC_REQUIRES(shard.mu);
-  /// Full per-packet path under the shard lock (the body of process();
-  /// process_batch() runs it bucket-at-a-time from pool jobs).
-  ProcessOutput process_on_shard(Shard& shard, net::Packet packet)
+  /// Splits items[indices[0..count)] into same-chain runs of at most
+  /// kMaxRun and scans each with scan_run_on_shard. A stateful run breaks
+  /// before a flow it already holds and forms only while the flow table
+  /// cannot evict, so results equal a one-at-a-time scan.
+  void scan_runs(Shard& shard, const ScanItem* items,
+                 const std::uint32_t* indices, std::size_t count,
+                 dpi::ScanResult* out) DPISVC_REQUIRES(shard.mu);
+  /// The one per-packet process body, over the bucket
+  /// packets[indices[0..count)] of one shard (process() passes a bucket of
+  /// one). Three stages: stage each packet in (tag lookup, defrag,
+  /// reassembly, decompress-once); scan the packets that survive through
+  /// scan_runs, so same-chain runs take the interleaved walk; emit each
+  /// packet in bucket order (result-only tag pop, report encode, ECN mark,
+  /// result packet) into out[indices[k]].
+  void process_bucket(Shard& shard, net::Packet* packets,
+                      const std::uint32_t* indices, std::size_t count,
+                      ProcessOutput* out) DPISVC_REQUIRES(shard.mu);
+  /// Emit stage of process_bucket for one scanned packet.
+  void emit(Shard& shard, dpi::ChainId chain, net::Packet& packet,
+            dpi::ScanResult&& scanned, ProcessOutput& out)
       DPISVC_REQUIRES(shard.mu);
   /// ScanPool::JobFn trampolines for the batched entry points: plain
   /// function pointer + context struct, so a steady-state batch dispatch

@@ -2,11 +2,13 @@
 //
 // One worker thread per data-plane shard, fed through a fixed-capacity SPSC
 // job ring: dispatch()/submit() hand jobs for shard i to worker i, so a
-// shard's packets are always processed by the same thread, in submission
-// order. That affinity is what makes the sharded scan path deterministic —
-// a flow maps to exactly one shard (FiveTuple::canonical() hash), and its
-// packets are scanned sequentially by that shard's worker regardless of how
-// many workers the pool runs.
+// shard's packets are always processed one job at a time, in submission
+// order. That order is what makes the sharded scan path deterministic — a
+// flow maps to exactly one shard (FiveTuple::canonical() hash), and its
+// packets are scanned sequentially regardless of how many workers the pool
+// runs. dispatch() may run worker 0's job on the calling thread instead,
+// but only when worker 0 has nothing queued or running, which keeps that
+// order.
 //
 // This is the bounded-queue rewrite of the original mutex+deque pool. The
 // old pool heap-allocated a std::function per job, pushed it under the
@@ -94,29 +96,28 @@ class BasicScanPool {
       remaining_ += static_cast<std::ptrdiff_t>(n);
     }
     void finish_one() {
-#if defined(DPISVC_MC_FAULT_COMPLETION_NOTIFY)
-      // Fault-injection variant for the dpisvc_mc "teeth" test ONLY: the
-      // pre-PR9 bug, signalling AFTER the mutex is released. The waiter can
-      // then observe remaining_ == 0, return from wait_zero(), and destroy
-      // the stack latch while this thread's notify is still in flight — the
-      // use-after-destroy TSan caught once, which the model checker must
-      // find deterministically. Only tests/mc_fault_test.cpp may define the
-      // macro, and only over a TU-local Sync tag (no ODR risk).
-      {
+      if constexpr (mc::seeded_fault<Sync>() ==
+                    mc::Fault::kNotifyAfterUnlock) {
+        // Seeded bug for the model checker's teeth test only: the historical
+        // shape, signalling AFTER the mutex is released. The waiter can then
+        // observe remaining_ == 0, return from wait_zero(), and destroy the
+        // stack latch while this thread's notify is still in flight.
+        {
+          const typename Sync::MutexLock lock(mu_);
+          --remaining_;
+        }
+        cv_.notify_all();
+      } else {
+        // Notify UNDER the mutex: the latch is stack-allocated by the waiter,
+        // and wait_zero() returning frees it. Holding mu_ through the notify
+        // means the waiter cannot observe remaining_ == 0 (it needs mu_)
+        // until this thread's last touch of the latch is done —
+        // signal-after-unlock would let the waiter destroy cv_ mid-notify.
+        // Only the last job notifies: the waiter re-checks remaining_ on
+        // every wake, so earlier notifies would only wake it to sleep again.
         const typename Sync::MutexLock lock(mu_);
-        --remaining_;
+        if (--remaining_ == 0) cv_.notify_all();
       }
-      cv_.notify_all();
-#else
-      // Notify UNDER the mutex: the latch is stack-allocated by the waiter,
-      // and wait_zero() returning frees it. Holding mu_ through the notify
-      // means the waiter cannot observe remaining_ == 0 (it needs mu_) until
-      // this thread's last touch of the latch is done — signal-after-unlock
-      // would let the waiter destroy cv_ mid-notify.
-      const typename Sync::MutexLock lock(mu_);
-      --remaining_;
-      cv_.notify_all();
-#endif
     }
     void wait_zero() {
       typename Sync::MutexLock lock(mu_);
@@ -196,19 +197,36 @@ class BasicScanPool {
   /// shard index, so the per-shard ordering guarantee follows from the
   /// per-worker FIFO rings. Full rings block regardless of policy (the
   /// caller is already committed to waiting for completion).
+  ///
+  /// The caller works instead of only waiting: it runs job 0 itself when
+  /// worker 0 has completed every job ever pushed to it (see
+  /// run_inline_if_idle), which saves that worker's wake-up. The other jobs
+  /// are pushed first so their workers start while the caller runs.
   void dispatch(JobFn fn, void* ctx, std::size_t count) {
     if (workers_.empty()) {
       for (std::size_t i = 0; i < count; ++i) fn(ctx, i);
       return;
     }
+    if (count == 0) return;
     Completion done;
     done.expect(count);
     const auto enqueue = detail::scan_pool_now_ns();
-    for (std::size_t i = 0; i < count; ++i) {
-      Worker& worker = *workers_[i % workers_.size()];
+    const std::size_t n = workers_.size();
+    const auto push = [&](std::size_t i) {
+      Worker& worker = *workers_[i % n];
       push_job(worker, Job{fn, ctx, i, &done, enqueue}, /*force_block=*/true);
       wake(worker);
+    };
+    for (std::size_t i = 1; i < count; ++i) {
+      if (i % n != 0) push(i);
     }
+    if (run_inline_if_idle(*workers_[0], fn, ctx)) {
+      done.finish_one();
+    } else {
+      push(0);
+    }
+    // Worker 0's later jobs go behind job 0, keeping its FIFO order.
+    for (std::size_t i = n; i < count; i += n) push(i);
     done.wait_zero();
   }
 
@@ -274,6 +292,12 @@ class BasicScanPool {
     /// contract makes an unserialized push a compile error under
     /// -Werror=thread-safety.
     typename Sync::Mutex submit_mu;
+    /// Jobs pushed onto the ring, and jobs this worker has finished
+    /// running. Equal under submit_mu means nothing is queued or running
+    /// and no producer can push until the lock is released: the condition
+    /// under which dispatch() may run this worker's job on the caller.
+    std::uint64_t pushed DPISVC_GUARDED_BY(submit_mu) = 0;
+    typename Sync::template Atomic<std::uint64_t> completed{0};
     /// Parking protocol: the worker publishes `parked` with seq_cst
     /// ordering before its final empty-check, and a producer checks it with
     /// seq_cst ordering after its push — the classic store/load fence pair
@@ -290,14 +314,45 @@ class BasicScanPool {
     typename Sync::Thread thread;
   };
 
-  void run_job(Job& job) {
+  void run_job(Worker& worker, Job& job) {
     if (instruments_.queue_wait_ns != nullptr && job.enqueue_ns != 0) {
       const auto start = detail::scan_pool_now_ns();
       instruments_.queue_wait_ns->record(
           start > job.enqueue_ns ? start - job.enqueue_ns : 0);
     }
     job.fn(job.ctx, job.arg);
+    // Release: pairs with the acquire in worker_idle_locked, so a job the
+    // caller then runs inline sees everything this job wrote.
+    worker.completed.fetch_add(1, std::memory_order_release);
     if (job.done != nullptr) job.done->finish_one();
+  }
+
+  /// True when `worker` has nothing queued or running. Holding submit_mu
+  /// fixes `pushed`; a matching `completed` can only have been written after
+  /// the last job returned. `parked && ring.empty()` would not do: a worker
+  /// whose final re-check just popped a job still reads as parked with an
+  /// empty ring, so an inline job could overtake it.
+  static bool worker_idle_locked(Worker& worker)
+      DPISVC_REQUIRES(worker.submit_mu) {
+    if constexpr (mc::seeded_fault<Sync>() ==
+                  mc::Fault::kDispatchParkedCheck) {
+      return worker.parked.load(std::memory_order_seq_cst) &&
+             worker.ring.empty();
+    }
+    return worker.completed.load(std::memory_order_acquire) == worker.pushed;
+  }
+
+  /// Runs fn(ctx, 0) on the calling thread if `worker` is idle; returns
+  /// whether it did. submit_mu stays held while the job runs, so a
+  /// concurrent submit() to this worker queues behind it. noexcept: like a
+  /// job on a worker thread, a throwing inline job terminates (unwinding
+  /// would free the Completion the other jobs still signal).
+  static bool run_inline_if_idle(Worker& worker, JobFn fn,
+                                 void* ctx) noexcept {
+    const typename Sync::MutexLock lock(worker.submit_mu);
+    if (!worker_idle_locked(worker)) return false;
+    fn(ctx, 0);
+    return true;
   }
 
   static void wake(Worker& worker) {
@@ -317,7 +372,9 @@ class BasicScanPool {
   /// submit mutex held, which is what keeps the ring single-producer.
   static bool try_push_locked(Worker& worker, Job&& job)
       DPISVC_REQUIRES(worker.submit_mu) {
-    return worker.ring.try_push(std::move(job));
+    if (!worker.ring.try_push(std::move(job))) return false;
+    ++worker.pushed;
+    return true;
   }
 
   /// Pushes onto `worker`'s ring under its submit mutex, honoring `policy`
@@ -357,7 +414,7 @@ class BasicScanPool {
         if (worker.depth != nullptr) {
           worker.depth->set(static_cast<std::int64_t>(worker.ring.size()));
         }
-        run_job(job);
+        run_job(worker, job);
         continue;
       }
       // Publish "about to park" before the final emptiness re-check; wake()
@@ -370,7 +427,7 @@ class BasicScanPool {
         if (worker.depth != nullptr) {
           worker.depth->set(static_cast<std::int64_t>(worker.ring.size()));
         }
-        run_job(job);
+        run_job(worker, job);
         continue;
       }
       if (worker.stop.load(std::memory_order_acquire)) {
@@ -378,7 +435,7 @@ class BasicScanPool {
         // Drain anything raced in after the stop flag; producers have
         // quiesced by the time the destructor runs, so this empties exactly
         // once.
-        while (worker.ring.try_pop(job)) run_job(job);
+        while (worker.ring.try_pop(job)) run_job(worker, job);
         return;
       }
       {

@@ -11,6 +11,15 @@ net::FiveTuple flow(std::uint16_t src_port) {
                         src_port, 80, net::IpProto::kTcp};
 }
 
+/// A valid cursor at `dfa_state` / `offset` with no anchor or regex state.
+FlowCursor cursor(ac::StateIndex dfa_state, std::uint64_t offset) {
+  FlowCursor c;
+  c.dfa_state = dfa_state;
+  c.offset = offset;
+  c.valid = true;
+  return c;
+}
+
 TEST(FlowTable, UnknownFlowReturnsInvalidCursor) {
   FlowTable table;
   EXPECT_FALSE(table.lookup(flow(1)).valid);
@@ -19,7 +28,7 @@ TEST(FlowTable, UnknownFlowReturnsInvalidCursor) {
 
 TEST(FlowTable, UpdateThenLookup) {
   FlowTable table;
-  table.update(flow(1), FlowCursor{42, 1000, true});
+  table.update(flow(1), cursor(42, 1000));
   const FlowCursor c = table.lookup(flow(1));
   EXPECT_TRUE(c.valid);
   EXPECT_EQ(c.dfa_state, 42u);
@@ -29,15 +38,15 @@ TEST(FlowTable, UpdateThenLookup) {
 
 TEST(FlowTable, UpdateOverwrites) {
   FlowTable table;
-  table.update(flow(1), FlowCursor{1, 10, true});
-  table.update(flow(1), FlowCursor{2, 20, true});
+  table.update(flow(1), cursor(1, 10));
+  table.update(flow(1), cursor(2, 20));
   EXPECT_EQ(table.lookup(flow(1)).dfa_state, 2u);
   EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(FlowTable, BothDirectionsShareState) {
   FlowTable table;
-  table.update(flow(1), FlowCursor{7, 5, true});
+  table.update(flow(1), cursor(7, 5));
   net::FiveTuple reverse = flow(1);
   std::swap(reverse.src_ip, reverse.dst_ip);
   std::swap(reverse.src_port, reverse.dst_port);
@@ -46,7 +55,7 @@ TEST(FlowTable, BothDirectionsShareState) {
 
 TEST(FlowTable, EraseRemoves) {
   FlowTable table;
-  table.update(flow(1), FlowCursor{1, 1, true});
+  table.update(flow(1), cursor(1, 1));
   EXPECT_TRUE(table.erase(flow(1)));
   EXPECT_FALSE(table.erase(flow(1)));
   EXPECT_FALSE(table.lookup(flow(1)).valid);
@@ -54,7 +63,7 @@ TEST(FlowTable, EraseRemoves) {
 
 TEST(FlowTable, ExtractForMigration) {
   FlowTable table;
-  table.update(flow(9), FlowCursor{33, 444, true});
+  table.update(flow(9), cursor(33, 444));
   const FlowCursor c = table.extract(flow(9));
   EXPECT_TRUE(c.valid);
   EXPECT_EQ(c.dfa_state, 33u);
@@ -64,12 +73,12 @@ TEST(FlowTable, ExtractForMigration) {
 
 TEST(FlowTable, LruEvictionAtCapacity) {
   FlowTable table(/*max_flows=*/3);
-  table.update(flow(1), FlowCursor{1, 0, true});
-  table.update(flow(2), FlowCursor{2, 0, true});
-  table.update(flow(3), FlowCursor{3, 0, true});
+  table.update(flow(1), cursor(1, 0));
+  table.update(flow(2), cursor(2, 0));
+  table.update(flow(3), cursor(3, 0));
   // Touch flow 1 so flow 2 becomes the LRU victim.
   (void)table.lookup(flow(1));
-  table.update(flow(4), FlowCursor{4, 0, true});
+  table.update(flow(4), cursor(4, 0));
   EXPECT_EQ(table.size(), 3u);
   EXPECT_EQ(table.evictions(), 1u);
   EXPECT_TRUE(table.lookup(flow(1)).valid);
@@ -85,7 +94,7 @@ TEST(FlowTable, RejectsZeroCapacity) {
 TEST(FlowTable, ClearEmptiesEverything) {
   FlowTable table;
   for (std::uint16_t p = 1; p <= 10; ++p) {
-    table.update(flow(p), FlowCursor{p, 0, true});
+    table.update(flow(p), cursor(p, 0));
   }
   EXPECT_EQ(table.size(), 10u);
   table.clear();
@@ -96,23 +105,23 @@ TEST(FlowTable, ClearEmptiesEverything) {
 TEST(FlowTable, UpdateSignalsLiveCursorEviction) {
   FlowTable table(/*max_flows=*/1);
   // Room available: no eviction.
-  EXPECT_FALSE(table.update(flow(1), FlowCursor{1, 10, true}));
+  EXPECT_FALSE(table.update(flow(1), cursor(1, 10)));
   // Refreshing an existing flow never evicts.
-  EXPECT_FALSE(table.update(flow(1), FlowCursor{2, 20, true}));
+  EXPECT_FALSE(table.update(flow(1), cursor(2, 20)));
   // Inserting a second flow evicts flow 1's live cursor: signalled.
-  EXPECT_TRUE(table.update(flow(2), FlowCursor{3, 0, true}));
+  EXPECT_TRUE(table.update(flow(2), cursor(3, 0)));
   EXPECT_EQ(table.evictions(), 1u);
   // Evicting an entry whose cursor was never valid is not a state loss.
   table.clear();
   table.update(flow(3), FlowCursor{});  // invalid cursor
-  EXPECT_FALSE(table.update(flow(4), FlowCursor{5, 0, true}));
+  EXPECT_FALSE(table.update(flow(4), cursor(5, 0)));
   EXPECT_EQ(table.evictions(), 2u);  // still counted as an eviction
 }
 
 TEST(FlowTable, DrainExtractsEverythingMruFirst) {
   FlowTable table;
   for (std::uint16_t p = 1; p <= 5; ++p) {
-    table.update(flow(p), FlowCursor{p, p, true});
+    table.update(flow(p), cursor(p, p));
   }
   (void)table.lookup(flow(2));  // flow 2 becomes most recent
   const auto drained = table.drain();
@@ -128,7 +137,7 @@ TEST(FlowTable, DrainExtractsEverythingMruFirst) {
 TEST(FlowTable, ManyFlowsStressWithEvictionAccounting) {
   FlowTable table(/*max_flows=*/64);
   for (std::uint16_t p = 0; p < 1000; ++p) {
-    table.update(flow(p), FlowCursor{p, p, true});
+    table.update(flow(p), cursor(p, p));
   }
   EXPECT_EQ(table.size(), 64u);
   EXPECT_EQ(table.evictions(), 1000u - 64u);

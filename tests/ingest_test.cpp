@@ -13,7 +13,9 @@
 //    overload behaviors — kShed bounds memory by dropping whole packets
 //    (counted, accepted subset still byte-identical), kBlock bounds memory
 //    by stalling the producer and eventually delivers everything;
-//  - process_batch() ≡ per-packet process(), batched InstanceNode ≡
+//  - process_batch() ≡ per-packet process() — also with defrag,
+//    reassembly and decompress-once on, byte for byte on the wire images
+//    and in every counter — batched InstanceNode ≡
 //    per-packet InstanceNode through a fabric (on_idle flushes stragglers),
 //    and Middlebox::apply_report_batch ≡ per-packet apply_report_entries.
 #include <gtest/gtest.h>
@@ -30,12 +32,14 @@
 #include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "common/spsc_ring.hpp"
+#include "compress/deflate.hpp"
 #include "dpi/engine.hpp"
 #include "mbox/middlebox.hpp"
 #include "netsim/fabric.hpp"
 #include "service/ingest.hpp"
 #include "service/instance.hpp"
 #include "service/instance_node.hpp"
+#include "workload/adversarial_gen.hpp"
 
 namespace dpisvc::service {
 namespace {
@@ -717,6 +721,240 @@ TEST(ProcessBatch, MatchesPerPacketProcess) {
     EXPECT_EQ(got[i], expected[i]) << "packet " << i;
   }
   EXPECT_EQ(batched.telemetry().packets, seq.telemetry().packets);
+}
+
+// The staged bucket body under every stage it has: defrag, reassembly and
+// decompress-once on; a stateful regex middlebox beside a stateless one;
+// reordered, fragmented and gzip-bodied TCP flows plus untagged traffic.
+// process_batch at 1, 2 and 4 workers must emit the per-packet path's
+// packets byte for byte (wire images, so tags, ECN and the full result
+// metadata are compared) and keep the same telemetry and shard counters.
+
+std::shared_ptr<const dpi::Engine> staged_engine() {
+  dpi::EngineSpec spec;
+  dpi::MiddleboxProfile ids;
+  ids.id = 1;
+  ids.name = "ids";  // stateless
+  dpi::MiddleboxProfile rx;
+  rx.id = 2;
+  rx.name = "rx";
+  rx.stateful = true;
+  spec.middleboxes = {ids, rx};
+  spec.exact_patterns = {
+      dpi::ExactPatternSpec{"evil", 1, 0},
+      dpi::ExactPatternSpec{"GET /", 1, 1},
+      dpi::ExactPatternSpec{"splitpattern", 2, 0},
+  };
+  spec.regex_patterns = {dpi::RegexPatternSpec{"evil[a-z]*virus", 2, 1}};
+  spec.chains[1] = {1};     // stateless chain
+  spec.chains[2] = {1, 2};  // stateful chain with the regex
+  return dpi::Engine::compile(spec);
+}
+
+/// Eighteen TCP flows, a third each reordered, IP-fragmented, and carrying a
+/// gzip member per segment, interleaved at random (per-flow order kept),
+/// plus an untagged UDP flow.
+std::vector<net::Packet> staged_trace() {
+  Rng rng(1606);
+  std::vector<std::vector<net::Packet>> flows;
+  for (std::uint8_t f = 0; f < 18; ++f) {
+    const net::FiveTuple tuple{net::Ipv4Addr(10, 2, f, 1),
+                               net::Ipv4Addr(10, 3, 0, 1),
+                               static_cast<std::uint16_t>(2000 + f), 80,
+                               net::IpProto::kTcp};
+    std::string text = "GET /p" + std::to_string(f) + " ";
+    for (int i = 0; i < 12; ++i) {
+      switch (rng.index(5)) {
+        case 0: text += "splitpattern"; break;
+        case 1: text += "evilxyzvirus"; break;
+        case 2: text += "evil"; break;
+        case 3: text += "virus"; break;
+        default:
+          for (std::size_t j = 0; j < 1 + rng.index(12); ++j) {
+            text.push_back(static_cast<char>('a' + rng.index(26)));
+          }
+      }
+    }
+    const Bytes stream = to_bytes(text);
+    std::vector<net::Packet> packets;
+    if (f % 3 == 2) {
+      // One gzip member per in-order segment: decompress-once inflates
+      // each released chunk before the scan.
+      std::uint32_t seq = 5000u * f;
+      for (std::size_t at = 0; at < stream.size(); at += 24) {
+        const std::size_t take = std::min<std::size_t>(24, stream.size() - at);
+        net::Packet packet;
+        packet.tuple = tuple;
+        packet.tcp_seq = seq;
+        packet.ip_id = static_cast<std::uint16_t>(at);
+        packet.payload = compress::gzip_compress(
+            BytesView(stream.data() + at, take));
+        seq += static_cast<std::uint32_t>(packet.payload.size());
+        packets.push_back(std::move(packet));
+      }
+    } else {
+      workload::EvasionSpec spec;
+      spec.seed = 100 + f;
+      spec.initial_seq = 7000u * f;
+      spec.segment_bytes = f % 3 == 1 ? 40 : 7;
+      spec.shuffle = f % 3 == 0;
+      spec.fragment_payload = f % 3 == 1 ? 16 : 0;
+      spec.fragment_reverse = f % 2 == 1;
+      spec.first_ip_id = static_cast<std::uint16_t>(100 * f + 1);
+      packets = workload::make_evasion_trace(tuple, stream, spec).packets;
+    }
+    for (net::Packet& packet : packets) {
+      packet.push_tag(net::TagKind::kPolicyChain, f % 2 == 0 ? 2u : 1u);
+    }
+    flows.push_back(std::move(packets));
+  }
+  std::vector<net::Packet> untagged;
+  for (int i = 0; i < 6; ++i) {
+    net::Packet packet;
+    packet.tuple = net::FiveTuple{net::Ipv4Addr(10, 9, 9, 9),
+                                  net::Ipv4Addr(10, 3, 0, 1), 53, 5353,
+                                  net::IpProto::kUdp};
+    packet.payload = to_bytes("evil untagged " + std::to_string(i));
+    untagged.push_back(std::move(packet));
+  }
+  flows.push_back(std::move(untagged));
+
+  std::vector<std::size_t> next(flows.size(), 0);
+  std::vector<net::Packet> trace;
+  for (;;) {
+    std::vector<std::size_t> pending;
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      if (next[f] < flows[f].size()) pending.push_back(f);
+    }
+    if (pending.empty()) break;
+    const std::size_t f = pending[rng.index(pending.size())];
+    trace.push_back(flows[f][next[f]++]);
+  }
+  return trace;
+}
+
+std::string wire_image(const ProcessOutput& out) {
+  std::ostringstream s;
+  const Bytes data = out.data.to_wire();
+  s << out.had_matches << "|" << std::string(data.begin(), data.end());
+  if (out.result) {
+    const Bytes result = out.result->to_wire();
+    s << "|R" << std::string(result.begin(), result.end());
+  }
+  return s.str();
+}
+
+/// Summed shard<i>.<suffix> counter.
+double shard_counter(const DpiInstance& inst, const std::string& suffix) {
+  const json::Value snap = inst.metrics().snapshot();
+  double total = 0;
+  for (std::size_t i = 0; i < inst.num_shards(); ++i) {
+    total += snap.at("counters")
+                 .at("shard" + std::to_string(i) + "." + suffix)
+                 .as_number();
+  }
+  return total;
+}
+
+TEST(ProcessBatch, StagedBucketMatchesPerPacketWithEveryStage) {
+  const auto engine = staged_engine();
+  const std::vector<net::Packet> trace = staged_trace();
+  ASSERT_GT(trace.size(), 150u);
+
+  for (const ResultMode mode :
+       {ResultMode::kDedicatedPacket, ResultMode::kServiceHeader}) {
+    InstanceConfig config;
+    config.result_mode = mode;
+    config.reassemble_tcp = true;
+    config.defragment_ip = true;
+    config.decompress_payloads = true;
+    const std::string label_mode =
+        mode == ResultMode::kServiceHeader ? "header" : "dedicated";
+
+    DpiInstance ref("ref", config);  // one worker, packet by packet
+    ref.load_engine(engine, 1);
+    std::vector<std::string> expected;
+    for (const net::Packet& packet : trace) {
+      expected.push_back(wire_image(ref.process(packet)));
+    }
+    const InstanceTelemetry rt = ref.telemetry();
+    ASSERT_GT(rt.match_packets, 0u);
+    ASSERT_GT(rt.reassembly_held, 0u) << "trace must reorder segments";
+    ASSERT_GT(rt.defrag_held, 0u) << "trace must fragment datagrams";
+    ASSERT_GT(rt.decompressed_packets, 0u) << "trace must inflate bodies";
+    ASSERT_GT(rt.pass_through, 0u);
+    ASSERT_GT(shard_counter(ref, "regex_matches"), 0);
+
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      const std::string label =
+          label_mode + " workers=" + std::to_string(workers);
+      InstanceConfig batch_config = config;
+      batch_config.num_workers = workers;
+      DpiInstance batched("batched", batch_config);
+      batched.load_engine(engine, 1);
+      std::vector<std::string> got;
+      const std::size_t kBatch = 64;
+      for (std::size_t base = 0; base < trace.size(); base += kBatch) {
+        std::vector<net::Packet> packets(
+            trace.begin() + static_cast<std::ptrdiff_t>(base),
+            trace.begin() + static_cast<std::ptrdiff_t>(
+                                std::min(base + kBatch, trace.size())));
+        for (const ProcessOutput& out :
+             batched.process_batch(std::move(packets))) {
+          got.push_back(wire_image(out));
+        }
+      }
+      ASSERT_EQ(got.size(), expected.size()) << label;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], expected[i]) << label << " packet " << i;
+      }
+
+      const InstanceTelemetry bt = batched.telemetry();
+      EXPECT_EQ(bt.packets, rt.packets) << label;
+      EXPECT_EQ(bt.bytes, rt.bytes) << label;
+      EXPECT_EQ(bt.raw_hits, rt.raw_hits) << label;
+      EXPECT_EQ(bt.match_packets, rt.match_packets) << label;
+      EXPECT_EQ(bt.result_bytes, rt.result_bytes) << label;
+      EXPECT_EQ(bt.pass_through, rt.pass_through) << label;
+      EXPECT_EQ(bt.decompressed_packets, rt.decompressed_packets) << label;
+      EXPECT_EQ(bt.decompressed_bytes, rt.decompressed_bytes) << label;
+      EXPECT_EQ(bt.reassembly_held, rt.reassembly_held) << label;
+      EXPECT_EQ(bt.defrag_held, rt.defrag_held) << label;
+      EXPECT_EQ(bt.flow_evictions, rt.flow_evictions) << label;
+      const auto rc = ref.chain_telemetry();
+      const auto bc = batched.chain_telemetry();
+      ASSERT_EQ(bc.size(), rc.size()) << label;
+      for (const auto& [chain, counters] : rc) {
+        ASSERT_EQ(bc.count(chain), 1u) << label << " chain " << chain;
+        EXPECT_EQ(bc.at(chain).packets, counters.packets) << label;
+        EXPECT_EQ(bc.at(chain).bytes, counters.bytes) << label;
+        EXPECT_EQ(bc.at(chain).raw_hits, counters.raw_hits) << label;
+      }
+      for (const char* suffix :
+           {"packets", "bytes", "raw_hits", "anchor_hits", "regex_evals",
+            "regex_matches", "flow_evictions",
+            "reassembly.dropped_segments", "reassembly.duplicate_bytes",
+            "reassembly.ambiguous_overlaps", "defrag.fragments",
+            "defrag.datagrams_completed", "defrag.rejected",
+            "decompress.fallback.corrupt"}) {
+        EXPECT_EQ(shard_counter(batched, suffix), shard_counter(ref, suffix))
+            << label << " shard*." << suffix;
+      }
+
+      std::uint64_t runs = 0;
+      std::uint64_t run_packets = 0;
+      for (std::size_t i = 0; i < workers; ++i) {
+        const auto* h = batched.metrics().find_histogram(
+            "shard" + std::to_string(i) + ".scan_run_packets");
+        ASSERT_NE(h, nullptr);
+        runs += h->count();
+        run_packets += h->sum();
+      }
+      EXPECT_EQ(run_packets, rt.packets) << label;
+      EXPECT_LT(runs, run_packets)
+          << label << ": process_batch formed no run longer than one packet";
+    }
+  }
 }
 
 // --- batched InstanceNode through the fabric ---------------------------------

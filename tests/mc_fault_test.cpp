@@ -1,18 +1,12 @@
 // Seeded-bug "teeth" tests for the dpisvc_mc model checker (DESIGN.md §7):
-// two real, historical bug shapes are re-introduced into the SHIPPED
-// templates via compile-time fault hooks, and the checker must find each
-// one in bounded exploration with a replayable schedule.
+// real, historical or plausible bug shapes are re-introduced into the
+// SHIPPED templates, and the checker must find each one in bounded
+// exploration with a replayable schedule.
 //
-// ODR safety: both fault macros are consumed inside templates keyed on the
-// Sync parameter (kSpscPublishOrder<Sync> is a variable template;
-// Completion::finish_one is a member of the BasicScanPool<Sync> class
-// template), and this TU instantiates them ONLY over the TU-local FaultSync
-// tag below. Every other TU in the binary — including the dpisvc_mc library
-// this links against — sees only the RealSync/ModelSync specializations,
-// which have exactly one (un-faulted) definition.
-#define DPISVC_SPSC_PUBLISH_ORDER_RELAXED 1
-#define DPISVC_MC_FAULT_COMPLETION_NOTIFY 1
-
+// Each bug is keyed on its own TU-local Sync tag (mc::Fault, mc/sync.hpp):
+// only that tag's specializations of SpscRing / BasicScanPool carry the
+// bug, so the seeded bugs cannot mask one another here, and every other TU
+// sees only the un-faulted RealSync/ModelSync specializations.
 #include <gtest/gtest.h>
 
 #include "mc/model_sync.hpp"
@@ -23,10 +17,17 @@ namespace {
 
 using dpisvc::mc::ExploreResult;
 using dpisvc::mc::Explorer;
+using dpisvc::mc::Fault;
 
-/// TU-local sync tag: the faulted template specializations exist only for
-/// this type, so they cannot collide with the library's instantiations.
-struct FaultSync : dpisvc::mc::ModelSync {};
+struct RingFaultSync : dpisvc::mc::ModelSync {
+  static constexpr Fault kFault = Fault::kRingRelaxedPublish;
+};
+struct NotifyFaultSync : dpisvc::mc::ModelSync {
+  static constexpr Fault kFault = Fault::kNotifyAfterUnlock;
+};
+struct DispatchFaultSync : dpisvc::mc::ModelSync {
+  static constexpr Fault kFault = Fault::kDispatchParkedCheck;
+};
 
 // Seeded bug 1: the producer's tail publish demoted from release to
 // relaxed. The consumer's acquire of tail_ then reads a store that carries
@@ -34,7 +35,7 @@ struct FaultSync : dpisvc::mc::ModelSync {};
 // producer's slot write — MC002, found exhaustively, schedule replayable.
 TEST(McFaultTest, RelaxedRingPublishFoundAsDataRace) {
   const auto body = [] {
-    dpisvc::mc::scenarios::ring_spsc_body<FaultSync>(/*capacity=*/2,
+    dpisvc::mc::scenarios::ring_spsc_body<RingFaultSync>(/*capacity=*/2,
                                                      /*items=*/2);
   };
   Explorer explorer;
@@ -60,7 +61,7 @@ TEST(McFaultTest, RelaxedRingPublishFoundAsDataRace) {
 // visible in the printed schedule.
 TEST(McFaultTest, NotifyAfterUnlockFoundAsUseAfterDestroy) {
   const auto body = [] {
-    dpisvc::mc::scenarios::completion_latch_body<FaultSync>();
+    dpisvc::mc::scenarios::completion_latch_body<NotifyFaultSync>();
   };
   Explorer explorer;
   const ExploreResult res = explorer.explore(body);
@@ -75,10 +76,33 @@ TEST(McFaultTest, NotifyAfterUnlockFoundAsUseAfterDestroy) {
   EXPECT_EQ(rep.bug->code, "MC003");
 }
 
-// The un-faulted control for both bodies lives in mc_test.cpp (the
-// ring_spsc and completion_latch registry scenarios verify clean over
-// ModelSync). It must NOT be duplicated here: instantiating the ModelSync
-// specializations from this macro-defining TU would be the exact ODR
-// violation the FaultSync tag exists to prevent.
+// Seeded bug 3: dispatch() running job 0 on the caller whenever worker 0
+// reads as `parked && ring.empty()`. A worker whose final re-check has just
+// popped the earlier asynchronous job still reads that way, so the inline
+// job overtakes it: worker 0's jobs run out of order or concurrently (an
+// order violation or a data race on the job log). The overtake needs two
+// preemptions, one more than the registry's pool_dispatch bound.
+TEST(McFaultTest, ParkedCheckInlineJobOvertakesQueuedJob) {
+  const auto body = [] {
+    dpisvc::mc::scenarios::pool_dispatch_body<DispatchFaultSync>();
+  };
+  dpisvc::mc::ExploreOptions options;
+  options.max_preemptions = 2;
+  Explorer explorer(options);
+  const ExploreResult res = explorer.explore(body);
+  ASSERT_FALSE(res.ok()) << "seeded parked-check inline job must be detected";
+  EXPECT_TRUE(res.bug->code == "MC001" || res.bug->code == "MC002")
+      << res.bug->code << " " << res.bug->message;
+  EXPECT_FALSE(res.bug->schedule.empty());
+
+  Explorer replayer;
+  const ExploreResult rep = replayer.replay(body, res.bug->schedule);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.bug->code, res.bug->code);
+}
+
+// The un-faulted controls live in mc_test.cpp: the ring_spsc,
+// completion_latch and pool_dispatch registry scenarios verify clean over
+// ModelSync.
 
 }  // namespace
