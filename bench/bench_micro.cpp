@@ -158,6 +158,10 @@ BENCHMARK(BM_PacketWireRoundTrip);
 
 void BM_FlowTableUpdateLookup(benchmark::State& state) {
   dpi::FlowTable table(1 << 16);
+  dpi::FlowCursor cursor;
+  cursor.dfa_state = 1;
+  cursor.offset = 1;
+  cursor.valid = true;
   std::uint16_t port = 0;
   for (auto _ : state) {
     net::FiveTuple flow;
@@ -165,7 +169,7 @@ void BM_FlowTableUpdateLookup(benchmark::State& state) {
     flow.dst_ip = net::Ipv4Addr(10, 0, 0, 2);
     flow.src_port = port++;
     flow.dst_port = 80;
-    table.update(flow, dpi::FlowCursor{1, 1, true});
+    table.update(flow, cursor);
     benchmark::DoNotOptimize(table.lookup(flow));
   }
 }

@@ -94,8 +94,6 @@ class FullAutomaton {
   std::size_t memory_bytes() const noexcept;
 
  private:
-  friend FullAutomaton deserialize(BytesView data);
-
   std::uint32_t num_states_ = 0;
   std::uint32_t num_accepting_ = 0;
   StateIndex start_ = 0;
@@ -103,7 +101,5 @@ class FullAutomaton {
   std::vector<std::vector<PatternIndex>> match_table_;  // size num_accepting
   std::vector<std::uint32_t> depth_;                  // size num_states
 };
-
-FullAutomaton deserialize(BytesView data);
 
 }  // namespace dpisvc::ac

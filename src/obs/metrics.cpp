@@ -60,10 +60,6 @@ std::vector<std::uint64_t> Histogram::latency_bounds_ns() {
 }
 
 void Histogram::record(std::uint64_t value) noexcept {
-  if constexpr (!kMetricsCompiledIn) {
-    (void)value;
-    return;
-  }
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
   counts_[idx].fetch_add(1, std::memory_order_relaxed);

@@ -21,10 +21,9 @@
 // counter semantics; the telemetry consumers tolerate a packet counted in
 // one window and its bytes in the next).
 //
-// Compile-out: building with -DDPISVC_NO_METRICS (CMake option of the same
-// name) turns every write into a no-op with zero code in the hot path, so
-// the overhead of the observability layer itself can be measured
-// (bench/bench_obs.cpp emits the on-vs-off comparison as BENCH_obs.json).
+// The instruments are always on: the service's telemetry is a view of its
+// counters, so there is no switch to compile them out. bench/bench_obs.cpp
+// measures what their writes cost (BENCH_obs.json).
 #pragma once
 
 #include <atomic>
@@ -40,12 +39,6 @@
 
 namespace dpisvc::obs {
 
-#if defined(DPISVC_NO_METRICS)
-inline constexpr bool kMetricsCompiledIn = false;
-#else
-inline constexpr bool kMetricsCompiledIn = true;
-#endif
-
 /// Counter and Gauge are templated over the dpisvc_mc synchronization
 /// facade (mc/sync.hpp) so the model checker can exhaustively explore the
 /// snapshot-and-reset protocol — concurrent add() vs take() must never lose
@@ -56,11 +49,7 @@ template <typename Sync = mc::RealSync>
 class BasicCounter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    if constexpr (kMetricsCompiledIn) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -85,18 +74,10 @@ template <typename Sync = mc::RealSync>
 class BasicGauge {
  public:
   void set(std::int64_t v) noexcept {
-    if constexpr (kMetricsCompiledIn) {
-      value_.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
+    value_.store(v, std::memory_order_relaxed);
   }
   void add(std::int64_t d) noexcept {
-    if constexpr (kMetricsCompiledIn) {
-      value_.fetch_add(d, std::memory_order_relaxed);
-    } else {
-      (void)d;
-    }
+    value_.fetch_add(d, std::memory_order_relaxed);
   }
   std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);

@@ -9,6 +9,34 @@
 
 namespace dpisvc::service {
 
+namespace {
+
+/// The window between two cumulative samples. A total below the previous
+/// one means the source's counters were reset (reset_telemetry(), or a
+/// restarted instance), so the new total is a fresh window of its own.
+InstanceTelemetry window_since(const InstanceTelemetry& prev,
+                               const InstanceTelemetry& now) {
+  if (now.packets < prev.packets || now.bytes < prev.bytes ||
+      now.raw_hits < prev.raw_hits) {
+    return now;
+  }
+  InstanceTelemetry window = now;
+  window -= prev;
+  return window;
+}
+
+ChainTelemetry window_since(const ChainTelemetry& prev,
+                            const ChainTelemetry& now) {
+  if (now.packets < prev.packets || now.bytes < prev.bytes ||
+      now.raw_hits < prev.raw_hits) {
+    return now;
+  }
+  return ChainTelemetry{now.packets - prev.packets, now.bytes - prev.bytes,
+                        now.raw_hits - prev.raw_hits};
+}
+
+}  // namespace
+
 DpiController::DpiController(StressConfig stress_config,
                              FailoverConfig failover_config)
     : monitor_(stress_config),
@@ -61,7 +89,7 @@ json::Value DpiController::handle_message(const json::Value& request) {
       t.match_packets = report.match_packets;
       t.flow_evictions = report.flow_evictions;
       t.busy_seconds = report.busy_seconds;
-      monitor_.report(report.instance, t);
+      report_window_locked(report.instance, t);
       // A pushed report is proof of life for the failure detector.
       heartbeat_locked(report.instance);
       return ok_response();
@@ -348,6 +376,7 @@ bool DpiController::remove_instance(const std::string& name) {
   const MutexLock lock(mu_);
   if (instances_.erase(name) == 0) return false;
   monitor_.forget(name);
+  samples_.erase(name);
   last_heartbeat_.erase(name);
   failed_.erase(name);
   for (auto it = assignments_.begin(); it != assignments_.end();) {
@@ -618,12 +647,26 @@ json::Value DpiController::telemetry_json(const std::string& filter) const {
 
 // --- MCA² ------------------------------------------------------------------------------
 
+void DpiController::report_window_locked(const std::string& name,
+                                         const InstanceTelemetry& total) {
+  TelemetrySample& sample = samples_[name];
+  monitor_.report(name, window_since(sample.total, total));
+  sample.total = total;
+}
+
 void DpiController::collect_telemetry() {
   const MutexLock lock(mu_);
   ++epoch_;
   for (auto& [name, inst] : instances_) {
     if (failed_.count(name)) continue;  // no fresh telemetry from the dead
-    monitor_.report(name, inst->telemetry());
+    report_window_locked(name, inst->telemetry());
+    TelemetrySample& sample = samples_[name];
+    std::map<dpi::ChainId, ChainTelemetry> chains = inst->chain_telemetry();
+    sample.chain_window.clear();
+    for (const auto& [chain, now] : chains) {
+      sample.chain_window[chain] = window_since(sample.chain_total[chain], now);
+    }
+    sample.chain_total = std::move(chains);
     const auto beat = last_heartbeat_.find(name);
     const std::uint64_t last = beat == last_heartbeat_.end() ? 0 : beat->second;
     if (epoch_ - last >= failover_config_.miss_windows) {
@@ -650,7 +693,7 @@ MitigationPlan DpiController::evaluate_mitigation() {
     if (!inst || inst->config().dedicated) continue;
     // Divert the chains whose traffic carries the heavy signal (§4.3.1:
     // "migrates the heavy flows, which are suspected to be malicious").
-    for (const auto& [chain, chain_stats] : inst->chain_telemetry()) {
+    for (const auto& [chain, chain_stats] : samples_[name].chain_window) {
       const auto assigned = instance_for_chain_locked(chain);
       if (!assigned || *assigned != name) continue;
       if (chain_stats.hits_per_byte() >

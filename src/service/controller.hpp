@@ -202,8 +202,11 @@ class DpiController {
 
   // --- MCA² (§4.3.1) ---------------------------------------------------------------
 
-  /// Snapshots every live instance's telemetry into the stress monitor
-  /// (one monitoring window). Also closes a failure-detection epoch: any
+  /// Feeds the stress monitor one monitoring window per live instance: the
+  /// telemetry delta since that instance's previous sample (a total below
+  /// the previous one, as after reset_telemetry(), starts a fresh window).
+  /// The per-chain deltas of the same window are kept for
+  /// evaluate_mitigation(). Also closes a failure-detection epoch: any
   /// instance that has not heartbeated for FailoverConfig::miss_windows
   /// consecutive windows is declared failed.
   void collect_telemetry();
@@ -223,8 +226,9 @@ class DpiController {
   StressMonitor& stress_monitor() noexcept { return monitor_; }
 
   /// Builds a plan diverting heavy chains on stressed instances to the
-  /// least-loaded dedicated instance. Empty if nothing is stressed or no
-  /// dedicated instance exists.
+  /// least-loaded dedicated instance; a chain is heavy when its counts over
+  /// the latest collect_telemetry() window cross the threshold. Empty if
+  /// nothing is stressed or no dedicated instance exists.
   MitigationPlan evaluate_mitigation();
 
   /// Applies a plan: reassigns the chains. Returns the number of chains
@@ -317,6 +321,11 @@ class DpiController {
       DPISVC_REQUIRES(mu_);
   json::Value telemetry_json_locked(const std::string& filter) const
       DPISVC_REQUIRES(mu_);
+  /// Feeds the monitor the window between `name`'s previous sample and the
+  /// cumulative `total`, and records `total` as the new previous sample.
+  void report_window_locked(const std::string& name,
+                            const InstanceTelemetry& total)
+      DPISVC_REQUIRES(mu_);
   void heartbeat_locked(const std::string& name) DPISVC_REQUIRES(mu_);
   /// Validates then applies one add_patterns request. On rejection returns
   /// false with `rejection` set to the typed error response and the matching
@@ -382,6 +391,14 @@ class DpiController {
   /// channel.
   std::map<std::string, TelemetryReport> telemetry_reports_
       DPISVC_GUARDED_BY(mu_);
+  /// Each instance's previous cumulative sample, from collect_telemetry()
+  /// or a pushed report: MCA² windows are deltas between samples.
+  struct TelemetrySample {
+    InstanceTelemetry total;
+    std::map<dpi::ChainId, ChainTelemetry> chain_total;
+    std::map<dpi::ChainId, ChainTelemetry> chain_window;  ///< latest window
+  };
+  std::map<std::string, TelemetrySample> samples_ DPISVC_GUARDED_BY(mu_);
 
   std::uint64_t epoch_ DPISVC_GUARDED_BY(mu_) = 0;
   std::map<std::string, std::uint64_t> last_heartbeat_ DPISVC_GUARDED_BY(mu_);

@@ -182,8 +182,7 @@ bool IngestPipeline::acquire_batch() {
     // kBlock: backpressure. Wait for the oldest batch's shard workers; its
     // delivery at the top of the loop frees a slot. Counted once per stall
     // episode through the same counter the pool's ring-full waits use.
-    const IngestInstruments& obs = instance_.ingest_instruments();
-    if (obs.blocked != nullptr) obs.blocked->add(1);
+    instance_.ingest_instruments().blocked->add(1);
     while (!inflight_.front()->pending.all_done()) {
       std::this_thread::yield();
     }
@@ -201,8 +200,7 @@ bool IngestPipeline::push_impl(dpi::ChainId chain, const net::FiveTuple& flow,
   deliver_ready();  // opportunistic: keep sink latency low, slots free
   if (current_ == nullptr && !acquire_batch()) {
     ++shed_;
-    const IngestInstruments& obs = instance_.ingest_instruments();
-    if (obs.shed != nullptr) obs.shed->add(1);
+    instance_.ingest_instruments().shed->add(1);
     return false;
   }
   ScanItem item;
@@ -244,16 +242,12 @@ void IngestPipeline::flush_impl() {
   batch->pending.arm(jobs);
 
   const IngestInstruments& obs = instance_.ingest_instruments();
-  if (obs.batch_packets != nullptr) {
-    obs.batch_packets->record(n);
-    obs.batch_bytes->record(batch->arena.bytes_used());
-  }
+  obs.batch_packets->record(n);
+  obs.batch_bytes->record(batch->arena.bytes_used());
 
   inflight_.push_back(batch);
   ++flushed_;
-  if (obs.batches_in_flight != nullptr) {
-    obs.batches_in_flight->set(static_cast<std::int64_t>(inflight_.size()));
-  }
+  obs.batches_in_flight->set(static_cast<std::int64_t>(inflight_.size()));
   for (std::size_t s = 0; s < num_shards; ++s) {
     if (part.offsets[s + 1] == part.offsets[s]) continue;
     // Blocking on a full ring here is deliberate: shedding happens at batch
@@ -272,10 +266,8 @@ std::size_t IngestPipeline::deliver_ready() {
     recycle(std::move(batch));
   }
   if (delivered != 0) {
-    const IngestInstruments& obs = instance_.ingest_instruments();
-    if (obs.batches_in_flight != nullptr) {
-      obs.batches_in_flight->set(static_cast<std::int64_t>(inflight_.size()));
-    }
+    instance_.ingest_instruments().batches_in_flight->set(
+        static_cast<std::int64_t>(inflight_.size()));
   }
   return delivered;
 }

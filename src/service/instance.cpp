@@ -19,7 +19,6 @@ constexpr std::size_t kMaxRun = 32;
 
 ScanPool::Instruments DpiInstance::make_pool_instruments(
     obs::MetricsRegistry& metrics, const InstanceConfig& config) {
-  if (!config.metrics) return ScanPool::Instruments();
   ScanPool::Instruments ins;
   ins.queue_wait_ns = &metrics.histogram("pool.queue_wait_ns",
                                          obs::Histogram::latency_bounds_ns());
@@ -51,18 +50,15 @@ DpiInstance::DpiInstance(std::string name, InstanceConfig config)
       pool_(std::max<std::size_t>(config.num_workers, 1),
             config.queue_capacity, config.overload,
             make_pool_instruments(metrics_, config)) {
-  if (config.metrics) {
-    ingest_obs_.shed = &metrics_.counter("ingest.backpressure.shed");
-    // Same counter the pool's blocked instrument points at (the registry
-    // returns the existing entry): kept here so stats_json can read it.
-    ingest_obs_.blocked = &metrics_.counter("ingest.backpressure.blocked");
-    ingest_obs_.batch_packets = &metrics_.histogram(
-        "ingest.batch_packets", obs::Histogram::linear_bounds(8, 32));
-    ingest_obs_.batch_bytes = &metrics_.histogram(
-        "ingest.batch_bytes",
-        obs::Histogram::exponential_bounds(1024, 2.0, 16));
-    ingest_obs_.batches_in_flight = &metrics_.gauge("ingest.batches_in_flight");
-  }
+  ingest_obs_.shed = &metrics_.counter("ingest.backpressure.shed");
+  // Same counter the pool's blocked instrument points at (the registry
+  // returns the existing entry): kept here so stats_json can read it.
+  ingest_obs_.blocked = &metrics_.counter("ingest.backpressure.blocked");
+  ingest_obs_.batch_packets = &metrics_.histogram(
+      "ingest.batch_packets", obs::Histogram::linear_bounds(8, 32));
+  ingest_obs_.batch_bytes = &metrics_.histogram(
+      "ingest.batch_bytes", obs::Histogram::exponential_bounds(1024, 2.0, 16));
+  ingest_obs_.batches_in_flight = &metrics_.gauge("ingest.batches_in_flight");
   const std::size_t num_shards = std::max<std::size_t>(config.num_workers, 1);
   const std::size_t per_shard =
       std::max<std::size_t>(config.max_flows / num_shards, 1);
@@ -71,49 +67,34 @@ DpiInstance::DpiInstance(std::string name, InstanceConfig config)
     auto shard =
         std::make_unique<Shard>(per_shard, config.reassembly, config.defrag);
     shard->index = static_cast<std::uint32_t>(i);
-    if (config.metrics) {
-      // Resolve instruments once; the scan path records through these
-      // pointers without ever touching the registry mutex.
-      const std::string p = "shard" + std::to_string(i) + ".";
-      ShardInstruments& o = shard->obs;
-      o.scan_ns =
-          &metrics_.histogram(p + "scan_ns", obs::Histogram::latency_bounds_ns());
-      o.scan_run_packets = &metrics_.histogram(
-          p + "scan_run_packets", obs::Histogram::linear_bounds(1, kMaxRun));
-      o.packets = &metrics_.counter(p + "packets");
-      o.bytes = &metrics_.counter(p + "bytes");
-      o.raw_hits = &metrics_.counter(p + "raw_hits");
-      o.anchor_hits = &metrics_.counter(p + "anchor_hits");
-      o.regex_evals = &metrics_.counter(p + "regex_evals");
-      o.regex_matches = &metrics_.counter(p + "regex_matches");
-      o.flow_evictions = &metrics_.counter(p + "flow_evictions");
-      o.flow_occupancy = &metrics_.gauge(p + "flow_occupancy");
-      o.reassembly_dropped = &metrics_.counter(p + "reassembly.dropped_segments");
-      o.reassembly_duplicate_bytes =
-          &metrics_.counter(p + "reassembly.duplicate_bytes");
-      o.reassembly_ambiguous =
-          &metrics_.counter(p + "reassembly.ambiguous_overlaps");
-      o.reassembly_conflicting_bytes =
-          &metrics_.counter(p + "reassembly.conflicting_overlap_bytes");
-      o.reassembly_stream_evictions =
-          &metrics_.counter(p + "reassembly.stream_evictions");
-      o.reassembly_streams_closed =
-          &metrics_.counter(p + "reassembly.streams_closed");
-      o.reassembly_ignored_fins =
-          &metrics_.counter(p + "reassembly.ignored_fins");
-      o.reassembly_ignored_rsts =
-          &metrics_.counter(p + "reassembly.ignored_rsts");
-      o.defrag_fragments = &metrics_.counter(p + "defrag.fragments");
-      o.defrag_completed = &metrics_.counter(p + "defrag.datagrams_completed");
-      o.defrag_rejected = &metrics_.counter(p + "defrag.rejected");
-      o.defrag_ambiguous = &metrics_.counter(p + "defrag.ambiguous_fragments");
-      o.defrag_evicted = &metrics_.counter(p + "defrag.evicted_incomplete");
-      for (std::size_t r = 0; r < compress::kInflateFailureCount; ++r) {
-        o.decompress_fallback[r] = &metrics_.counter(
-            p + "decompress.fallback." +
-            compress::inflate_failure_name(
-                static_cast<compress::InflateFailure>(r)));
-      }
+    // Resolve instruments once; the scan path records through these
+    // pointers without ever touching the registry mutex.
+    const std::string p = "shard" + std::to_string(i) + ".";
+    ShardInstruments& o = shard->obs;
+    o.scan_ns =
+        &metrics_.histogram(p + "scan_ns", obs::Histogram::latency_bounds_ns());
+    o.scan_run_packets = &metrics_.histogram(
+        p + "scan_run_packets", obs::Histogram::linear_bounds(1, kMaxRun));
+    o.packets = &metrics_.counter(p + "packets");
+    o.bytes = &metrics_.counter(p + "bytes");
+    o.raw_hits = &metrics_.counter(p + "raw_hits");
+    o.match_packets = &metrics_.counter(p + "match_packets");
+    o.anchor_hits = &metrics_.counter(p + "anchor_hits");
+    o.regex_evals = &metrics_.counter(p + "regex_evals");
+    o.regex_matches = &metrics_.counter(p + "regex_matches");
+    o.flow_evictions = &metrics_.counter(p + "flow_evictions");
+    o.flow_occupancy = &metrics_.gauge(p + "flow_occupancy");
+    o.pass_through = &metrics_.counter(p + "pass_through");
+    o.defrag_held = &metrics_.counter(p + "defrag_held");
+    o.reassembly_held = &metrics_.counter(p + "reassembly_held");
+    o.decompressed_packets = &metrics_.counter(p + "decompressed_packets");
+    o.decompressed_bytes = &metrics_.counter(p + "decompressed_bytes");
+    o.result_bytes = &metrics_.counter(p + "result_bytes");
+    for (std::size_t r = 0; r < compress::kInflateFailureCount; ++r) {
+      o.decompress_fallback[r] = &metrics_.counter(
+          p + "decompress.fallback." +
+          compress::inflate_failure_name(
+              static_cast<compress::InflateFailure>(r)));
     }
     shards_.push_back(std::move(shard));
   }
@@ -160,22 +141,36 @@ std::shared_ptr<const dpi::Engine> DpiInstance::engine_snapshot() const {
 
 namespace {
 
-void accumulate(InstanceTelemetry& into, const InstanceTelemetry& from) {
-  into.packets += from.packets;
-  into.bytes += from.bytes;
-  into.raw_hits += from.raw_hits;
-  into.match_packets += from.match_packets;
-  into.result_bytes += from.result_bytes;
-  into.pass_through += from.pass_through;
-  into.decompressed_packets += from.decompressed_packets;
-  into.decompressed_bytes += from.decompressed_bytes;
-  into.reassembly_held += from.reassembly_held;
-  into.defrag_held += from.defrag_held;
-  into.flow_evictions += from.flow_evictions;
-  into.busy_seconds += from.busy_seconds;
-}
+/// InstanceTelemetry's event counts, for the field-wise operators.
+constexpr std::uint64_t InstanceTelemetry::*kTelemetryCounts[] = {
+    &InstanceTelemetry::packets,
+    &InstanceTelemetry::bytes,
+    &InstanceTelemetry::raw_hits,
+    &InstanceTelemetry::match_packets,
+    &InstanceTelemetry::result_bytes,
+    &InstanceTelemetry::pass_through,
+    &InstanceTelemetry::decompressed_packets,
+    &InstanceTelemetry::decompressed_bytes,
+    &InstanceTelemetry::reassembly_held,
+    &InstanceTelemetry::defrag_held,
+    &InstanceTelemetry::flow_evictions,
+};
 
 }  // namespace
+
+InstanceTelemetry& InstanceTelemetry::operator+=(
+    const InstanceTelemetry& other) noexcept {
+  for (const auto field : kTelemetryCounts) this->*field += other.*field;
+  busy_seconds += other.busy_seconds;
+  return *this;
+}
+
+InstanceTelemetry& InstanceTelemetry::operator-=(
+    const InstanceTelemetry& other) noexcept {
+  for (const auto field : kTelemetryCounts) this->*field -= other.*field;
+  busy_seconds -= other.busy_seconds;
+  return *this;
+}
 
 net::ReassemblyStats DpiInstance::reassembly_stats() const {
   net::ReassemblyStats total;
@@ -210,11 +205,64 @@ net::DefragStats DpiInstance::defrag_stats() const {
   return total;
 }
 
+json::Object DpiInstance::evasion_json() const {
+  const net::ReassemblyStats rs = reassembly_stats();
+  json::Object reassembly;
+  reassembly["policy"] =
+      json::Value(std::string(
+          net::overlap_policy_name(config_.reassembly.overlap_policy)));
+  reassembly["dropped_segments"] = json::Value(rs.dropped_segments);
+  reassembly["duplicate_bytes"] = json::Value(rs.duplicate_bytes);
+  reassembly["ambiguous_overlaps"] = json::Value(rs.ambiguous_overlaps);
+  reassembly["conflicting_overlap_bytes"] =
+      json::Value(rs.conflicting_overlap_bytes);
+  reassembly["stream_evictions"] = json::Value(rs.stream_evictions);
+  reassembly["streams_closed"] = json::Value(rs.streams_closed);
+  reassembly["ignored_fins"] = json::Value(rs.ignored_fins);
+  reassembly["ignored_rsts"] = json::Value(rs.ignored_rsts);
+
+  const net::DefragStats ds = defrag_stats();
+  json::Object defrag;
+  defrag["fragments"] = json::Value(ds.fragments);
+  defrag["datagrams_completed"] = json::Value(ds.datagrams_completed);
+  defrag["rejected_tiny"] = json::Value(ds.rejected_tiny);
+  defrag["rejected_bounds"] = json::Value(ds.rejected_bounds);
+  defrag["ambiguous_fragments"] = json::Value(ds.ambiguous_fragments);
+  defrag["conflicting_bytes"] = json::Value(ds.conflicting_bytes);
+  defrag["evicted_incomplete"] = json::Value(ds.evicted_incomplete);
+
+  json::Object out;
+  out["reassembly"] = json::Value(std::move(reassembly));
+  out["defrag"] = json::Value(std::move(defrag));
+  return out;
+}
+
+InstanceTelemetry DpiInstance::shard_totals(const Shard& shard) {
+  const ShardInstruments& o = shard.obs;
+  InstanceTelemetry t;
+  t.packets = o.packets->value();
+  t.bytes = o.bytes->value();
+  t.raw_hits = o.raw_hits->value();
+  t.match_packets = o.match_packets->value();
+  t.result_bytes = o.result_bytes->value();
+  t.pass_through = o.pass_through->value();
+  t.decompressed_packets = o.decompressed_packets->value();
+  t.decompressed_bytes = o.decompressed_bytes->value();
+  t.reassembly_held = o.reassembly_held->value();
+  t.defrag_held = o.defrag_held->value();
+  t.flow_evictions = o.flow_evictions->value();
+  t.busy_seconds = static_cast<double>(o.scan_ns->sum()) * 1e-9;
+  return t;
+}
+
 InstanceTelemetry DpiInstance::telemetry() const {
   InstanceTelemetry total;
   for (const auto& shard : shards_) {
-    const MutexLock lock(shard->mu);
-    accumulate(total, shard->telemetry);
+    const Shard& s = *shard;
+    const MutexLock lock(s.mu);
+    InstanceTelemetry t = shard_totals(s);
+    t -= s.telemetry_base;
+    total += t;
   }
   return total;
 }
@@ -234,17 +282,20 @@ std::map<dpi::ChainId, ChainTelemetry> DpiInstance::chain_telemetry() const {
 }
 
 InstanceTelemetry DpiInstance::reset_telemetry() {
-  // Snapshot-and-reset shard by shard, each under its own mutex: a packet
-  // being scanned concurrently lands either in the returned snapshot or in
-  // the counters after the reset — never in both, never in neither. The
-  // previous wipe-only variant silently discarded the residual counts, so a
-  // windowed consumer racing the scanners could not account for them.
+  // Snapshot-and-reset shard by shard, each under its own mutex: every
+  // counter write happens under that mutex too, so a packet being scanned
+  // concurrently lands either in the returned snapshot or after the new
+  // base — never in both, never in neither.
   InstanceTelemetry total;
   for (auto& shard : shards_) {
-    const MutexLock lock(shard->mu);
-    accumulate(total, shard->telemetry);
-    shard->telemetry = InstanceTelemetry{};
-    shard->chain_telemetry.clear();
+    Shard& s = *shard;
+    const MutexLock lock(s.mu);
+    const InstanceTelemetry now = shard_totals(s);
+    InstanceTelemetry window = now;
+    window -= s.telemetry_base;
+    total += window;
+    s.telemetry_base = now;
+    s.chain_telemetry.clear();
   }
   return total;
 }
@@ -273,60 +324,31 @@ json::Value DpiInstance::stats_json() const {
   counters["hits_per_byte"] = json::Value(t.hits_per_byte());
   root["telemetry"] = json::Value(std::move(counters));
 
-  const net::ReassemblyStats rs = reassembly_stats();
-  json::Object reassembly;
-  reassembly["policy"] =
-      json::Value(std::string(
-          net::overlap_policy_name(config_.reassembly.overlap_policy)));
-  reassembly["dropped_segments"] = json::Value(rs.dropped_segments);
-  reassembly["duplicate_bytes"] = json::Value(rs.duplicate_bytes);
-  reassembly["ambiguous_overlaps"] = json::Value(rs.ambiguous_overlaps);
-  reassembly["conflicting_overlap_bytes"] =
-      json::Value(rs.conflicting_overlap_bytes);
-  reassembly["stream_evictions"] = json::Value(rs.stream_evictions);
-  reassembly["streams_closed"] = json::Value(rs.streams_closed);
-  reassembly["ignored_fins"] = json::Value(rs.ignored_fins);
-  reassembly["ignored_rsts"] = json::Value(rs.ignored_rsts);
-  root["reassembly"] = json::Value(std::move(reassembly));
+  for (auto& [key, block] : evasion_json()) root[key] = block;
 
-  const net::DefragStats ds = defrag_stats();
-  json::Object defrag;
-  defrag["fragments"] = json::Value(ds.fragments);
-  defrag["datagrams_completed"] = json::Value(ds.datagrams_completed);
-  defrag["rejected_tiny"] = json::Value(ds.rejected_tiny);
-  defrag["rejected_bounds"] = json::Value(ds.rejected_bounds);
-  defrag["ambiguous_fragments"] = json::Value(ds.ambiguous_fragments);
-  defrag["conflicting_bytes"] = json::Value(ds.conflicting_bytes);
-  defrag["evicted_incomplete"] = json::Value(ds.evicted_incomplete);
-  root["defrag"] = json::Value(std::move(defrag));
-
-  if (config_.metrics) {
-    // Failed inflate attempts (payload scanned raw), summed over shards.
-    json::Object decompress;
-    for (std::size_t r = 0; r < compress::kInflateFailureCount; ++r) {
-      std::uint64_t total = 0;
-      for (const auto& shard : shards_) {
-        total += shard->obs.decompress_fallback[r]->value();
-      }
-      decompress[std::string("fallback_") +
-                 compress::inflate_failure_name(
-                     static_cast<compress::InflateFailure>(r))] =
-          json::Value(total);
+  // Failed inflate attempts (payload scanned raw), summed over shards.
+  json::Object decompress;
+  for (std::size_t r = 0; r < compress::kInflateFailureCount; ++r) {
+    std::uint64_t total = 0;
+    for (const auto& shard : shards_) {
+      total += shard->obs.decompress_fallback[r]->value();
     }
-    root["decompress"] = json::Value(std::move(decompress));
+    decompress[std::string("fallback_") +
+               compress::inflate_failure_name(
+                   static_cast<compress::InflateFailure>(r))] =
+        json::Value(total);
   }
+  root["decompress"] = json::Value(std::move(decompress));
 
   json::Object ingest;
   ingest["overload_policy"] =
       json::Value(std::string(overload_policy_name(config_.overload)));
   ingest["queue_capacity"] =
       json::Value(static_cast<std::uint64_t>(config_.queue_capacity));
-  if (ingest_obs_.shed != nullptr) {
-    ingest["backpressure_blocked"] = json::Value(ingest_obs_.blocked->value());
-    ingest["backpressure_shed"] = json::Value(ingest_obs_.shed->value());
-    ingest["batches_in_flight"] =
-        json::Value(ingest_obs_.batches_in_flight->value());
-  }
+  ingest["backpressure_blocked"] = json::Value(ingest_obs_.blocked->value());
+  ingest["backpressure_shed"] = json::Value(ingest_obs_.shed->value());
+  ingest["batches_in_flight"] =
+      json::Value(ingest_obs_.batches_in_flight->value());
   root["ingest"] = json::Value(std::move(ingest));
 
   json::Object chains;
@@ -557,8 +579,8 @@ void DpiInstance::scan_run_on_shard(Shard& shard, const ScanItem* items,
       if (shard.flows.update(items[indices[k]].flow, cursor)) ++evictions;
     }
   }
-  // One clock read per run serves both the busy-seconds counter and the
-  // latency histogram; a run of one measures exactly its packet.
+  // One clock read per run: the latency histogram's sum is also the
+  // shard's busy time; a run of one measures exactly its packet.
   const std::uint64_t run_ns = watch.elapsed_ns();
 
   std::uint64_t bytes = 0;
@@ -592,66 +614,29 @@ void DpiInstance::scan_run_on_shard(Shard& shard, const ScanItem* items,
                     shard.index, chain);
     }
   }
-  InstanceTelemetry& t = shard.telemetry;
-  t.busy_seconds += static_cast<double>(run_ns) * 1e-9;
-  t.packets += count;
-  t.bytes += bytes;
-  t.raw_hits += raw_hits;
-  t.match_packets += match_packets;
-  t.flow_evictions += evictions;
   ChainTelemetry& per_chain = shard.chain_telemetry[chain];
   per_chain.packets += count;
   per_chain.bytes += bytes;
   per_chain.raw_hits += raw_hits;
   const ShardInstruments& ins = shard.obs;
-  if (ins.packets != nullptr) {
-    ins.scan_ns->record(run_ns);
-    ins.scan_run_packets->record(count);
-    ins.packets->add(count);
-    ins.bytes->add(bytes);
-    ins.raw_hits->add(raw_hits);
-    ins.anchor_hits->add(anchor_hits);
-    ins.regex_evals->add(regex_evals);
-    ins.regex_matches->add(regex_matches);
-    if (evictions != 0) ins.flow_evictions->add(evictions);
-    if (stateful) {
-      ins.flow_occupancy->set(static_cast<std::int64_t>(shard.flows.size()));
-    }
+  ins.scan_ns->record(run_ns);
+  ins.scan_run_packets->record(count);
+  ins.packets->add(count);
+  ins.bytes->add(bytes);
+  ins.raw_hits->add(raw_hits);
+  if (match_packets != 0) ins.match_packets->add(match_packets);
+  ins.anchor_hits->add(anchor_hits);
+  ins.regex_evals->add(regex_evals);
+  ins.regex_matches->add(regex_matches);
+  if (stateful) {
+    ins.flow_occupancy->set(static_cast<std::int64_t>(shard.flows.size()));
   }
   if (evictions != 0) {
+    ins.flow_evictions->add(evictions);
     log(LogLevel::kDebug, name_,
         "flow table full: evicted live stateful cursor (evictions=",
-        t.flow_evictions, ")");
+        ins.flow_evictions->value(), ")");
   }
-}
-
-void DpiInstance::publish_evasion_metrics(Shard& shard) {
-  const ShardInstruments& ins = shard.obs;
-  if (ins.reassembly_dropped == nullptr) return;  // metrics disabled
-  // The stat blocks are monotonic; publish the delta since the last call so
-  // the obs counters mirror them exactly.
-  const net::ReassemblyStats& r = shard.reassembler.stats();
-  net::ReassemblyStats& rp = shard.obs_reassembly;
-  ins.reassembly_dropped->add(r.dropped_segments - rp.dropped_segments);
-  ins.reassembly_duplicate_bytes->add(r.duplicate_bytes - rp.duplicate_bytes);
-  ins.reassembly_ambiguous->add(r.ambiguous_overlaps - rp.ambiguous_overlaps);
-  ins.reassembly_conflicting_bytes->add(r.conflicting_overlap_bytes -
-                                        rp.conflicting_overlap_bytes);
-  ins.reassembly_stream_evictions->add(r.stream_evictions -
-                                       rp.stream_evictions);
-  ins.reassembly_streams_closed->add(r.streams_closed - rp.streams_closed);
-  ins.reassembly_ignored_fins->add(r.ignored_fins - rp.ignored_fins);
-  ins.reassembly_ignored_rsts->add(r.ignored_rsts - rp.ignored_rsts);
-  rp = r;
-  const net::DefragStats& d = shard.defrag.stats();
-  net::DefragStats& dp = shard.obs_defrag;
-  ins.defrag_fragments->add(d.fragments - dp.fragments);
-  ins.defrag_completed->add(d.datagrams_completed - dp.datagrams_completed);
-  ins.defrag_rejected->add((d.rejected_tiny + d.rejected_bounds) -
-                           (dp.rejected_tiny + dp.rejected_bounds));
-  ins.defrag_ambiguous->add(d.ambiguous_fragments - dp.ambiguous_fragments);
-  ins.defrag_evicted->add(d.evicted_incomplete - dp.evicted_incomplete);
-  dp = d;
 }
 
 net::MatchReport DpiInstance::build_report(dpi::ChainId chain,
@@ -688,9 +673,7 @@ std::optional<Bytes> DpiInstance::maybe_decompress(const ShardInstruments& obs,
     }
   } catch (const compress::InflateError& e) {
     // Not actually compressed (or corrupt / a bomb): scan the raw bytes.
-    obs::Counter* fallback =
-        obs.decompress_fallback[static_cast<std::size_t>(e.reason())];
-    if (fallback != nullptr) fallback->add();
+    obs.decompress_fallback[static_cast<std::size_t>(e.reason())]->add();
   }
   return std::nullopt;
 }
@@ -750,7 +733,7 @@ void DpiInstance::process_bucket(Shard& shard, net::Packet* packets,
     if (!tag || shard.engine == nullptr ||
         !shard.engine->chain_known(static_cast<dpi::ChainId>(*tag))) {
       // Not ours to inspect: forward unchanged.
-      ++shard.telemetry.pass_through;
+      shard.obs.pass_through->add();
       o.data = std::move(packet);
       continue;
     }
@@ -763,9 +746,8 @@ void DpiInstance::process_bucket(Shard& shard, net::Packet* packets,
     if (config_.defragment_ip) {
       if (packet.is_fragment()) {
         auto full = shard.defrag.feed(packet);
-        publish_evasion_metrics(shard);
         if (!full) {
-          ++shard.telemetry.defrag_held;
+          shard.obs.defrag_held->add();
           o.data = std::move(packet);
           continue;
         }
@@ -782,12 +764,11 @@ void DpiInstance::process_bucket(Shard& shard, net::Packet* packets,
     BytesView scan_bytes(packet.payload);
     if (config_.reassemble_tcp && packet.tuple.proto == net::IpProto::kTcp) {
       auto chunk = shard.reassembler.feed(packet);
-      publish_evasion_metrics(shard);
       if (!chunk) {
         // Out-of-order segment: nothing contiguous yet. Forward the packet
         // (middleboxes see it; results for its bytes come with the packet
         // that completes the gap).
-        ++shard.telemetry.reassembly_held;
+        shard.obs.reassembly_held->add();
         o.data = std::move(packet);
         continue;
       }
@@ -798,8 +779,8 @@ void DpiInstance::process_bucket(Shard& shard, net::Packet* packets,
     // Decompress once for all middleboxes on the chain (§1).
     if (std::optional<Bytes> inflated =
             maybe_decompress(shard.obs, scan_bytes)) {
-      ++shard.telemetry.decompressed_packets;
-      shard.telemetry.decompressed_bytes += inflated->size();
+      shard.obs.decompressed_packets->add();
+      shard.obs.decompressed_bytes->add(inflated->size());
       st.inflated[slot] = std::move(*inflated);
       scan_bytes = st.inflated[slot];
     }
@@ -849,7 +830,7 @@ void DpiInstance::emit(Shard& shard, dpi::ChainId chain, net::Packet& packet,
   // Keep in sync with service::packet_ref_of (instance_node.hpp).
   Bytes encoded = net::encode_report(
       build_report(chain, packet_ref, std::move(scanned)), config_.codec);
-  shard.telemetry.result_bytes += encoded.size();
+  shard.obs.result_bytes->add(encoded.size());
 
   packet.set_match_mark(true);  // §6.1: ECN marks "has matches"
   if (config_.result_mode == ResultMode::kServiceHeader && !result_only) {

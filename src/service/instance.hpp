@@ -19,13 +19,13 @@
 //
 // Data-plane concurrency (§6 scaling): the instance is sharded. Each shard
 // owns a mutex, an engine snapshot (std::shared_ptr<const dpi::Engine>), a
-// FlowTable, a TCP reassembler, and telemetry counters. A packet's shard is
-// the mixed canonical-tuple hash % num_workers, so both directions of a flow —
-// and therefore its stateful cursor — belong to exactly one shard and no
-// cross-shard FlowTable locking ever happens. scan_batch() / process_batch()
-// partition a packet vector by shard and dispatch one job per shard to the
-// ScanPool (worker i ↔ shard i), which preserves per-flow packet order for
-// any worker count. The pool's per-worker job rings are fixed-capacity
+// FlowTable, a TCP reassembler, and its shard<i>.* registry counters. A
+// packet's shard is the mixed canonical-tuple hash % num_workers, so both
+// directions of a flow — and therefore its stateful cursor — belong to
+// exactly one shard and no cross-shard FlowTable locking ever happens.
+// scan_batch() / process_batch() partition a packet vector by shard and
+// dispatch one job per shard to the ScanPool (worker i ↔ shard i), which
+// preserves per-flow packet order for any worker count. The pool's per-worker job rings are fixed-capacity
 // (InstanceConfig::queue_capacity), so a stalled shard surfaces as
 // backpressure — counted through the ingest.backpressure.* instruments —
 // instead of unbounded queue growth. Control-plane operations (engine push,
@@ -123,17 +123,14 @@ struct InstanceConfig {
   /// the synchronous scan_batch()/process_batch() dispatches always block —
   /// their callers wait for completion regardless).
   OverloadPolicy overload = OverloadPolicy::kBlock;
-  /// Record per-shard obs metrics (scan-latency histogram, packet/byte/hit
-  /// counters, flow-occupancy gauge, pool queue-wait histogram). The writes
-  /// are relaxed atomics on the scan path; disable to shave the last few
-  /// nanoseconds per packet (bench_obs quantifies the difference).
-  bool metrics = true;
   /// ScanTrace ring capacity (structured per-packet event records for
   /// debugging); 0 — the default — disables tracing entirely.
   std::size_t trace_capacity = 0;
 };
 
 /// Counters exported to the DPI controller as stress telemetry (§4.3.1).
+/// A value type: DpiInstance::telemetry() builds one as a view of the
+/// shard<i>.* registry counters, which are the only record.
 struct InstanceTelemetry {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
@@ -158,6 +155,11 @@ struct InstanceTelemetry {
                       : static_cast<double>(raw_hits) /
                             static_cast<double>(bytes);
   }
+
+  /// Field-wise sum and difference: the view sums shards and subtracts the
+  /// reset base; windowed consumers difference two samples.
+  InstanceTelemetry& operator+=(const InstanceTelemetry& other) noexcept;
+  InstanceTelemetry& operator-=(const InstanceTelemetry& other) noexcept;
 };
 
 /// Per-policy-chain counters; the controller uses these to decide *which*
@@ -192,7 +194,7 @@ struct ScanItem {
 };
 
 /// Batch-granular ingest instruments registered on the instance's metrics
-/// registry (all-null when metrics are disabled). The IngestPipeline
+/// registry. The IngestPipeline
 /// records into these; they live here so dpisvc_stats finds every
 /// backpressure signal in one snapshot.
 struct IngestInstruments {
@@ -304,23 +306,25 @@ class DpiInstance {
   /// per-flow ordering guarantee across batches.
   ScanPool& scan_pool() noexcept { return pool_; }
 
-  /// Batch-granular ingest instruments (all-null when metrics disabled).
+  /// Batch-granular ingest instruments.
   const IngestInstruments& ingest_instruments() const noexcept {
     return ingest_obs_;
   }
 
   /// Telemetry accessors aggregate per-shard counters sampled under the
   /// shard locks, so the controller's monitor thread can read while
-  /// scanners are running.
+  /// scanners are running. telemetry() is a view of the shard<i>.*
+  /// registry counters (busy_seconds: the shard<i>.scan_ns sums), minus
+  /// the base the last reset_telemetry() recorded.
   InstanceTelemetry telemetry() const;
   std::map<dpi::ChainId, ChainTelemetry> chain_telemetry() const;
 
-  /// Snapshot-and-reset: atomically (per shard, under the shard mutex)
-  /// captures and zeroes each shard's counters and returns their sum, so a
-  /// windowed consumer never loses counts to a concurrent scan — every
-  /// packet lands either in the returned snapshot or in the next window.
-  /// The obs registry is monotonic and is NOT reset (rates are derived by
-  /// differencing snapshots).
+  /// Snapshot-and-reset: per shard, under the shard mutex, returns the
+  /// counts since the previous reset and moves the shard's base up to the
+  /// current totals (the per-chain map is cleared). A windowed consumer
+  /// never loses counts to a concurrent scan — every packet lands either in
+  /// the returned snapshot or in the next window. The obs registry itself
+  /// stays monotonic.
   InstanceTelemetry reset_telemetry();
 
   /// Obs layer: per-shard instruments (shard<i>.* counters, scan-latency
@@ -334,6 +338,11 @@ class DpiInstance {
 
   /// Aggregate defragmentation counters summed over every shard.
   net::DefragStats defrag_stats() const;
+
+  /// The "reassembly" (with the overlap policy) and "defrag" blocks of
+  /// stats_json(), built from the two stats blocks above; TELEMETRY_REPORT
+  /// carries the same blocks.
+  json::Object evasion_json() const;
 
   /// Full machine-readable state: instance identity, engine version,
   /// aggregated telemetry counters, metrics snapshot, and — when tracing is
@@ -373,33 +382,26 @@ class DpiInstance {
  private:
   /// Per-shard obs instruments, resolved once at construction so the scan
   /// path records through stable pointers without touching the registry.
-  /// All-null when InstanceConfig::metrics is false.
+  /// They are the one record of every event the shard counts.
   struct ShardInstruments {
     obs::Histogram* scan_ns = nullptr;           ///< one record per run
     obs::Histogram* scan_run_packets = nullptr;  ///< packets per run
     obs::Counter* packets = nullptr;
     obs::Counter* bytes = nullptr;
     obs::Counter* raw_hits = nullptr;
+    obs::Counter* match_packets = nullptr;
     obs::Counter* anchor_hits = nullptr;
     obs::Counter* regex_evals = nullptr;
     obs::Counter* regex_matches = nullptr;
     obs::Counter* flow_evictions = nullptr;
     obs::Gauge* flow_occupancy = nullptr;
-    // Reassembly ambiguity/eviction counters (shard<i>.reassembly.*).
-    obs::Counter* reassembly_dropped = nullptr;
-    obs::Counter* reassembly_duplicate_bytes = nullptr;
-    obs::Counter* reassembly_ambiguous = nullptr;
-    obs::Counter* reassembly_conflicting_bytes = nullptr;
-    obs::Counter* reassembly_stream_evictions = nullptr;
-    obs::Counter* reassembly_streams_closed = nullptr;
-    obs::Counter* reassembly_ignored_fins = nullptr;
-    obs::Counter* reassembly_ignored_rsts = nullptr;
-    // Defragmentation counters (shard<i>.defrag.*).
-    obs::Counter* defrag_fragments = nullptr;
-    obs::Counter* defrag_completed = nullptr;
-    obs::Counter* defrag_rejected = nullptr;
-    obs::Counter* defrag_ambiguous = nullptr;
-    obs::Counter* defrag_evicted = nullptr;
+    // Stage events of process().
+    obs::Counter* pass_through = nullptr;
+    obs::Counter* defrag_held = nullptr;
+    obs::Counter* reassembly_held = nullptr;
+    obs::Counter* decompressed_packets = nullptr;
+    obs::Counter* decompressed_bytes = nullptr;
+    obs::Counter* result_bytes = nullptr;
     // Failed inflate attempts whose payload was scanned raw, indexed by
     // compress::InflateFailure (shard<i>.decompress.fallback.<reason>).
     std::array<obs::Counter*, compress::kInflateFailureCount>
@@ -417,15 +419,11 @@ class DpiInstance {
     dpi::FlowTable flows DPISVC_GUARDED_BY(mu);
     net::FlowReassembler reassembler DPISVC_GUARDED_BY(mu);
     net::IpDefragmenter defrag DPISVC_GUARDED_BY(mu);
-    InstanceTelemetry telemetry DPISVC_GUARDED_BY(mu);
     std::map<dpi::ChainId, ChainTelemetry> chain_telemetry
         DPISVC_GUARDED_BY(mu);
-    /// Last values published to the obs counters; the process() path adds
-    /// the delta against the reassembler/defragmenter totals after each
-    /// feed, so the monotonic obs counters track the monotonic stats blocks
-    /// without double counting.
-    net::ReassemblyStats obs_reassembly DPISVC_GUARDED_BY(mu);
-    net::DefragStats obs_defrag DPISVC_GUARDED_BY(mu);
+    /// Counter totals at the last reset_telemetry(); telemetry() reports
+    /// the totals minus this base.
+    InstanceTelemetry telemetry_base DPISVC_GUARDED_BY(mu);
     ShardInstruments obs;
     std::uint32_t index = 0;
 
@@ -448,6 +446,10 @@ class DpiInstance {
     return static_cast<std::size_t>(h % shards_.size());
   }
 
+  /// The shard's counter totals, read under its mutex so a reset base
+  /// and the totals it is subtracted from stay consistent.
+  static InstanceTelemetry shard_totals(const Shard& shard)
+      DPISVC_REQUIRES(shard.mu);
   net::MatchReport build_report(dpi::ChainId chain, std::uint64_t packet_ref,
                                 dpi::ScanResult&& scan) const;
   std::optional<Bytes> maybe_decompress(const ShardInstruments& obs,
@@ -494,9 +496,6 @@ class DpiInstance {
   static void process_batch_job(void* ctx, std::size_t shard);
   static ScanPool::Instruments make_pool_instruments(
       obs::MetricsRegistry& metrics, const InstanceConfig& config);
-  /// Adds the delta between the shard's reassembler/defragmenter stat
-  /// blocks and the last published values to the obs counters.
-  void publish_evasion_metrics(Shard& shard) DPISVC_REQUIRES(shard.mu);
 
   std::string name_;
   InstanceConfig config_;

@@ -39,8 +39,9 @@ class StressMonitor {
  public:
   explicit StressMonitor(StressConfig config = {});
 
-  /// Feeds one telemetry window for an instance. Callers typically snapshot
-  /// InstanceTelemetry, report it, and reset the instance counters.
+  /// Feeds one telemetry window for an instance: the counts of that window
+  /// alone, not cumulative totals (DpiController::collect_telemetry passes
+  /// the delta since the instance's previous sample).
   void report(const std::string& instance, const InstanceTelemetry& window);
 
   /// True if the instance's smoothed hit density crosses the threshold.

@@ -124,9 +124,9 @@ json::Value encode(const TelemetryReport& report) {
                          {"p99", report.scan_p99_ns},
                      }))},
   });
-  if (!report.metrics.is_null()) {
-    msg["metrics"] = report.metrics;
-  }
+  if (!report.metrics.is_null()) msg["metrics"] = report.metrics;
+  if (!report.reassembly.is_null()) msg["reassembly"] = report.reassembly;
+  if (!report.defrag.is_null()) msg["defrag"] = report.defrag;
   return json::Value(std::move(msg));
 }
 
@@ -251,6 +251,16 @@ double parse_nonneg(const json::Value& field, const char* what) {
   return v;
 }
 
+/// message[key] when present; null when absent; throws unless an object.
+json::Value optional_object(const json::Value& message, const char* key) {
+  json::Value v = message.get_or(key, json::Value(nullptr));
+  if (!v.is_null() && !v.is_object()) {
+    throw std::invalid_argument(std::string("telemetry_report: ") + key +
+                                " must be an object");
+  }
+  return v;
+}
+
 }  // namespace
 
 TelemetryReport decode_telemetry_report(const json::Value& message) {
@@ -302,14 +312,9 @@ TelemetryReport decode_telemetry_report(const json::Value& message) {
     out.scan_p90_ns = parse_nonneg(latency.get_or("p90", zero), "p90");
     out.scan_p99_ns = parse_nonneg(latency.get_or("p99", zero), "p99");
   }
-  const json::Value metrics = message.get_or("metrics", json::Value(nullptr));
-  if (!metrics.is_null()) {
-    if (!metrics.is_object()) {
-      throw std::invalid_argument(
-          "telemetry_report: metrics must be an object");
-    }
-    out.metrics = metrics;
-  }
+  out.metrics = optional_object(message, "metrics");
+  out.reassembly = optional_object(message, "reassembly");
+  out.defrag = optional_object(message, "defrag");
   return out;
 }
 
@@ -346,21 +351,17 @@ TelemetryReport make_telemetry_report(const DpiInstance& instance) {
   // bucket ladders) before extracting percentiles — percentiles do not
   // average across shards.
   obs::Histogram merged(obs::Histogram::latency_bounds_ns());
-  bool any = false;
   for (std::size_t i = 0; i < instance.num_shards(); ++i) {
-    const obs::Histogram* h = instance.metrics().find_histogram(
-        "shard" + std::to_string(i) + ".scan_ns");
-    if (h != nullptr) {
-      merged.merge_from(*h);
-      any = true;
-    }
+    merged.merge_from(*instance.metrics().find_histogram(
+        "shard" + std::to_string(i) + ".scan_ns"));
   }
-  if (any) {
-    report.scan_p50_ns = merged.percentile(0.50);
-    report.scan_p90_ns = merged.percentile(0.90);
-    report.scan_p99_ns = merged.percentile(0.99);
-  }
+  report.scan_p50_ns = merged.percentile(0.50);
+  report.scan_p90_ns = merged.percentile(0.90);
+  report.scan_p99_ns = merged.percentile(0.99);
   report.metrics = instance.metrics().snapshot();
+  json::Object evasion = instance.evasion_json();
+  report.reassembly = evasion.at("reassembly");
+  report.defrag = evasion.at("defrag");
   return report;
 }
 

@@ -77,7 +77,8 @@ struct UnregisterRequest {
 /// One instance's stress telemetry pushed to the controller (§4.3.1). The
 /// counters mirror InstanceTelemetry's MCA²-relevant subset; the latency
 /// percentiles come from the instance's scan-ns histogram; `metrics` is the
-/// free-form obs registry snapshot (a JSON object) and may be null.
+/// free-form obs registry snapshot (a JSON object) and may be null, as may
+/// the `reassembly` / `defrag` blocks (DpiInstance::evasion_json).
 struct TelemetryReport {
   std::string instance;  ///< reporting instance name; must be non-empty
   std::uint64_t engine_version = 0;
@@ -96,12 +97,13 @@ struct TelemetryReport {
   std::uint64_t conflicting_overlap_bytes = 0;
   std::uint64_t stream_evictions = 0;
   double busy_seconds = 0;
-  /// Scan latency percentiles in nanoseconds; all zero when the instance
-  /// runs with metrics disabled.
+  /// Scan latency percentiles in nanoseconds.
   double scan_p50_ns = 0;
   double scan_p90_ns = 0;
   double scan_p99_ns = 0;
-  json::Value metrics;  ///< obs registry snapshot or null
+  json::Value metrics;     ///< obs registry snapshot or null
+  json::Value reassembly;  ///< summed reassembly stats block or null
+  json::Value defrag;      ///< summed defrag stats block or null
 
   double hits_per_byte() const noexcept {
     return bytes == 0 ? 0.0

@@ -131,7 +131,7 @@ class BasicScanPool {
   };
 
   /// Obs instruments the pool records into; any pointer may be null
-  /// (metrics disabled). `depth` gauges are per worker (fill level of that
+  /// (a standalone pool records nothing by default). `depth` gauges are per worker (fill level of that
   /// worker's ring, updated on push and pop); `fill` is the pool-wide
   /// fill-at-enqueue histogram. All instruments must outlive the pool.
   struct Instruments {

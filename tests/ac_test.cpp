@@ -10,7 +10,6 @@
 
 #include "ac/compressed_automaton.hpp"
 #include "ac/full_automaton.hpp"
-#include "ac/serialize.hpp"
 #include "ac/trie.hpp"
 #include "common/rng.hpp"
 
@@ -314,43 +313,6 @@ TEST_P(AcDifferentialTest, SplitScanEqualsWholeScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AcDifferentialTest, ::testing::Range(0, 8));
-
-// --- serialization ---------------------------------------------------------------------
-
-TEST(Serialize, RoundTripPreservesBehaviour) {
-  const auto original = build_from<FullAutomaton>(kPaperSet);
-  const Bytes blob = serialize(original);
-  const FullAutomaton restored = deserialize(blob);
-  EXPECT_EQ(restored.num_states(), original.num_states());
-  EXPECT_EQ(restored.num_accepting(), original.num_accepting());
-  EXPECT_EQ(restored.start_state(), original.start_state());
-  const char* inputs[] = {"CDBCABE", "BCAA", "EDAEBEBD", ""};
-  for (const char* input : inputs) {
-    EXPECT_EQ(scan_all(restored, input), scan_all(original, input)) << input;
-  }
-}
-
-TEST(Serialize, RejectsCorruptedInput) {
-  const auto automaton = build_from<FullAutomaton>({"ab"});
-  Bytes blob = serialize(automaton);
-  EXPECT_THROW(deserialize(BytesView(blob.data(), 3)), std::invalid_argument);
-  Bytes bad_magic = blob;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_THROW(deserialize(bad_magic), std::invalid_argument);
-  Bytes truncated(blob.begin(), blob.end() - 2);
-  EXPECT_THROW(deserialize(truncated), std::invalid_argument);
-  Bytes trailing = blob;
-  trailing.push_back(0);
-  EXPECT_THROW(deserialize(trailing), std::invalid_argument);
-}
-
-TEST(Serialize, SerializedSizeTracksTableSize) {
-  const auto automaton = build_from<FullAutomaton>(kPaperSet);
-  const Bytes blob = serialize(automaton);
-  // Dominated by the num_states*256*4 table.
-  EXPECT_GT(blob.size(),
-            static_cast<std::size_t>(automaton.num_states()) * 256 * 4);
-}
 
 }  // namespace
 }  // namespace dpisvc::ac

@@ -27,6 +27,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -931,15 +932,17 @@ TEST(ProcessBatch, StagedBucketMatchesPerPacketWithEveryStage) {
         EXPECT_EQ(bc.at(chain).raw_hits, counters.raw_hits) << label;
       }
       for (const char* suffix :
-           {"packets", "bytes", "raw_hits", "anchor_hits", "regex_evals",
-            "regex_matches", "flow_evictions",
-            "reassembly.dropped_segments", "reassembly.duplicate_bytes",
-            "reassembly.ambiguous_overlaps", "defrag.fragments",
-            "defrag.datagrams_completed", "defrag.rejected",
+           {"packets", "bytes", "raw_hits", "match_packets", "anchor_hits",
+            "regex_evals", "regex_matches", "flow_evictions", "pass_through",
+            "defrag_held", "reassembly_held", "decompressed_packets",
+            "decompressed_bytes", "result_bytes",
             "decompress.fallback.corrupt"}) {
         EXPECT_EQ(shard_counter(batched, suffix), shard_counter(ref, suffix))
             << label << " shard*." << suffix;
       }
+      EXPECT_EQ(json::dump(json::Value(batched.evasion_json())),
+                json::dump(json::Value(ref.evasion_json())))
+          << label;
 
       std::uint64_t runs = 0;
       std::uint64_t run_packets = 0;
@@ -954,6 +957,78 @@ TEST(ProcessBatch, StagedBucketMatchesPerPacketWithEveryStage) {
       EXPECT_LT(runs, run_packets)
           << label << ": process_batch formed no run longer than one packet";
     }
+  }
+}
+
+// telemetry() is a view of the shard<i>.* registry counters, not a record of
+// its own: every field is the sum of its counters, busy_seconds is the
+// summed scan_ns time, and reset_telemetry() moves a base, not the registry.
+TEST(ProcessBatch, TelemetryIsAViewOfShardCounters) {
+  InstanceConfig config;
+  config.num_workers = 2;
+  config.reassemble_tcp = true;
+  config.defragment_ip = true;
+  config.decompress_payloads = true;
+  DpiInstance inst("view", config);
+  inst.load_engine(staged_engine(), 1);
+  const std::vector<net::Packet> trace = staged_trace();
+  const std::size_t kBatch = 64;
+  for (std::size_t base = 0; base < trace.size(); base += kBatch) {
+    (void)inst.process_batch(std::vector<net::Packet>(
+        trace.begin() + static_cast<std::ptrdiff_t>(base),
+        trace.begin() + static_cast<std::ptrdiff_t>(
+                            std::min(base + kBatch, trace.size()))));
+  }
+
+  const InstanceTelemetry t = inst.telemetry();
+  const std::pair<std::uint64_t, const char*> fields[] = {
+      {t.packets, "packets"},
+      {t.bytes, "bytes"},
+      {t.raw_hits, "raw_hits"},
+      {t.match_packets, "match_packets"},
+      {t.result_bytes, "result_bytes"},
+      {t.pass_through, "pass_through"},
+      {t.decompressed_packets, "decompressed_packets"},
+      {t.decompressed_bytes, "decompressed_bytes"},
+      {t.reassembly_held, "reassembly_held"},
+      {t.defrag_held, "defrag_held"},
+      {t.flow_evictions, "flow_evictions"},
+  };
+  for (const auto& [value, suffix] : fields) {
+    EXPECT_EQ(static_cast<double>(value), shard_counter(inst, suffix))
+        << suffix;
+  }
+  for (const char* stage : {"packets", "match_packets", "result_bytes",
+                            "pass_through", "decompressed_packets",
+                            "reassembly_held", "defrag_held"}) {
+    EXPECT_GT(shard_counter(inst, stage), 0) << stage;
+  }
+  std::uint64_t scan_ns = 0;
+  for (std::size_t i = 0; i < inst.num_shards(); ++i) {
+    scan_ns += inst.metrics()
+                   .find_histogram("shard" + std::to_string(i) + ".scan_ns")
+                   ->sum();
+  }
+  EXPECT_GT(scan_ns, 0u);
+  EXPECT_DOUBLE_EQ(t.busy_seconds, static_cast<double>(scan_ns) * 1e-9);
+
+  const InstanceTelemetry window = inst.reset_telemetry();
+  EXPECT_EQ(window.packets, t.packets);
+  EXPECT_EQ(window.result_bytes, t.result_bytes);
+  const InstanceTelemetry after = inst.telemetry();
+  for (const std::uint64_t v :
+       {after.packets, after.bytes, after.raw_hits, after.match_packets,
+        after.result_bytes, after.pass_through, after.decompressed_packets,
+        after.decompressed_bytes, after.reassembly_held, after.defrag_held,
+        after.flow_evictions}) {
+    EXPECT_EQ(v, 0u);
+  }
+  EXPECT_EQ(after.busy_seconds, 0.0);
+  EXPECT_TRUE(inst.chain_telemetry().empty());
+  // The registry stays monotonic.
+  for (const auto& [value, suffix] : fields) {
+    EXPECT_EQ(static_cast<double>(value), shard_counter(inst, suffix))
+        << suffix;
   }
 }
 

@@ -233,6 +233,50 @@ TEST_F(Mca2Test, AttackTrafficTriggersMigrationToDedicated) {
   EXPECT_EQ(controller_->apply_mitigation(plan), 0u);
 }
 
+// MCA² windows are deltas, not lifetime totals: once the attack window has
+// rotated out of the smoothing span, the instance reads calm again.
+TEST_F(Mca2Test, StressClearsOnceAttackWindowsRotateOut) {
+  std::string attack;
+  for (int i = 0; i < 20; ++i) attack += "attacksig";
+  pump_traffic(*regular_, attack, 50);
+  controller_->collect_telemetry();
+  ASSERT_TRUE(controller_->stress_monitor().is_stressed("regular"));
+
+  const std::string benign =
+      "plenty of ordinary web content with no signatures whatsoever, just "
+      "text flowing through the wire....";
+  for (int window = 0; window < 3; ++window) {
+    pump_traffic(*regular_, benign, 50);
+    controller_->collect_telemetry();
+  }
+  EXPECT_FALSE(controller_->stress_monitor().is_stressed("regular"));
+  EXPECT_TRUE(controller_->evaluate_mitigation().empty());
+}
+
+// The TELEMETRY_REPORT twin: pushed reports carry cumulative counters, and
+// the controller windows them the same way; a total below the previous one
+// (the instance reset its counters) starts a fresh window.
+TEST_F(Mca2Test, PushedReportStressClearsOnceAttackWindowsRotateOut) {
+  TelemetryReport report;
+  report.instance = "remote";
+  auto push = [&](std::uint64_t bytes, std::uint64_t raw_hits) {
+    report.packets += 50;
+    report.bytes = bytes;
+    report.raw_hits = raw_hits;
+    ASSERT_TRUE(response_ok(controller_->handle_message(encode(report))));
+  };
+  push(9000, 1000);  // attack: 0.11 hits per byte
+  ASSERT_TRUE(controller_->stress_monitor().is_stressed("remote"));
+  push(14000, 1000);  // three benign windows of 5000 bytes, no hits
+  push(19000, 1000);
+  push(24000, 1000);
+  EXPECT_FALSE(controller_->stress_monitor().is_stressed("remote"));
+
+  report.packets = 0;
+  push(2000, 500);  // counters reset: this total is a window of its own
+  EXPECT_TRUE(controller_->stress_monitor().is_stressed("remote"));
+}
+
 TEST_F(Mca2Test, NoDedicatedInstanceMeansEmptyPlan) {
   controller_->remove_instance("dedicated");
   std::string attack;

@@ -208,7 +208,8 @@ TEST(Messages, TelemetryReportRejectsMalformed) {
                    R"({"type":"telemetry_report","instance":"a",
                        "counters":{"packets":1,"match_packets":2}})")),
                std::exception);
-  // latency_ns and metrics, when present, must be objects.
+  // latency_ns, metrics and the reassembly/defrag blocks, when present,
+  // must be objects.
   EXPECT_THROW(decode_telemetry_report(json::parse(
                    R"({"type":"telemetry_report","instance":"a",
                        "counters":{},"latency_ns":3})")),
@@ -216,6 +217,14 @@ TEST(Messages, TelemetryReportRejectsMalformed) {
   EXPECT_THROW(decode_telemetry_report(json::parse(
                    R"({"type":"telemetry_report","instance":"a",
                        "counters":{},"metrics":"x"})")),
+               std::exception);
+  EXPECT_THROW(decode_telemetry_report(json::parse(
+                   R"({"type":"telemetry_report","instance":"a",
+                       "counters":{},"reassembly":[1]})")),
+               std::exception);
+  EXPECT_THROW(decode_telemetry_report(json::parse(
+                   R"({"type":"telemetry_report","instance":"a",
+                       "counters":{},"defrag":7})")),
                std::exception);
 }
 

@@ -125,8 +125,7 @@ void print_pretty(const json::Value& response,
     }
   }
   // Reassembly/defragmentation counter blocks come straight from the
-  // instance's stats_json (per-shard obs counters roll up into the same
-  // totals).
+  // instance's stats_json (each TELEMETRY_REPORT carries the same blocks).
   const json::Value stats = instance.stats_json();
   const json::Value& reassembly = stats.at("reassembly");
   std::printf("reassembly (policy %s)\n",
@@ -309,7 +308,6 @@ int run(const Args& args) {
   const dpi::ChainId chain = controller.register_policy_chain({1, 2});
   service::InstanceConfig config;
   config.num_workers = workers;
-  config.metrics = true;
   config.trace_capacity = trace_cap;
   config.reassemble_tcp = true;
   config.defragment_ip = true;
